@@ -34,7 +34,7 @@ from .domains import DOMAIN_NAMES, InstanceSpec, build_task
 from .errors import GpsynError, InternalConsistencyError, ParseError
 from .evaluation import evaluate_test_set, format_metric
 from .interpreter import validate_program
-from .model import GeneralizedProblem, Label
+from .model import Label
 from .planner import Heuristic, SearchConfig, SolveStatus, Strategy
 from .program import format_program, parse_program
 
@@ -81,10 +81,6 @@ def _search_config(args) -> SearchConfig:
         max_expansions=budget,
         max_seconds=args.max_seconds,
     )
-
-
-def _load_problem(path) -> GeneralizedProblem:
-    return jsonio.load_problem(path)
 
 
 def _load_program(path):
@@ -153,7 +149,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_synth(args) -> int:
     started = time.time()
-    problem = _load_problem(args.problem)
+    problem = jsonio.load_problem(args.problem)
     if problem.t_positive == 0:
         raise ParseError("synthesis needs at least one positive instance")
     if args.variant == "positive":
@@ -260,7 +256,7 @@ def _compiled_outcomes(program, problem):
 
 
 def _cmd_validate(args) -> int:
-    problem = _load_problem(args.problem)
+    problem = jsonio.load_problem(args.problem)
     program = _load_program(args.program)
     payload: dict = {"mode": args.mode}
     if problem.t_total == 0:
@@ -305,7 +301,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_eval(args) -> int:
     started = time.time()
-    test_set = _load_problem(args.testset)
+    test_set = jsonio.load_problem(args.testset)
     program = _load_program(args.program)
     report = evaluate_test_set(program, test_set)
     records = [
@@ -348,7 +344,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_export(args) -> int:
     started = time.time()
-    problem = _load_problem(args.problem)
+    problem = jsonio.load_problem(args.problem)
     out_dir = Path(args.out_dir)
     written = []
     if args.variant == "raw":

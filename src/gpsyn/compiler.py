@@ -36,7 +36,7 @@ from .model import (
     Label,
     LiteralSet,
     State,
-    successor,
+    validate_sequential_plan,
 )
 from .program import (
     ActInstruction,
@@ -119,14 +119,10 @@ class CompiledInstance:
     labels: tuple[Label, ...]
     roles: tuple[Role, ...]
     families: dict
-    base_width: int
 
     @property
     def name(self) -> str:
         return f"{self.variant.value}_n{self.lines}_T{len(self.labels)}"
-
-    def role_of(self, action_index: int) -> Role:
-        return self.roles[action_index]
 
 
 @dataclass(frozen=True)
@@ -523,7 +519,6 @@ class _Builder:
             labels=tuple(inst.label for inst in self.gp.instances),
             roles=tuple(self.roles),
             families=self.families,
-            base_width=self.base.width,
         )
 
 
@@ -601,18 +596,16 @@ def decode_program(plan: Sequence[int], compiled: CompiledInstance) -> DecodedPr
 
 
 def decode_trace(plan: Sequence[int], compiled: CompiledInstance) -> tuple[TraceOutcome, ...]:
-    """Reconstruct per-instance outcomes from a goal-reaching plan.
+    """Reconstruct per-instance outcomes from a goal-reaching plan; any other
+    plan raises :class:`MalformedPlanError`.
 
     An instance ends either with an end-execution action (solved) or with a
     skip action, whose immediately preceding action names the failure source:
     a failed end check is an incomplete program, a failed action check is an
     inapplicable action, and process witnesses an infinite loop.
     """
-    state = compiled.init
-    for idx in plan:
-        state = successor(state, compiled.frame.actions[idx])
-    if not compiled.goal.holds_in(state):
-        raise MalformedPlanError("plan does not reach the compiled goal")
+    if not validate_sequential_plan(compiled, plan):
+        raise MalformedPlanError("plan is inapplicable or does not reach the compiled goal")
 
     outcomes: list[TraceOutcome] = []
     t = 1

@@ -14,16 +14,8 @@ from enum import Enum
 from typing import Union
 
 from .errors import ExecutionResourceError, ModelError
-from .model import (
-    Action,
-    ClassicalInstance,
-    Frame,
-    GeneralizedProblem,
-    State,
-    is_applicable,
-    successor,
-)
-from .program import ActInstruction, EndInstruction, GotoInstruction, Program
+from .model import ClassicalInstance, Frame, GeneralizedProblem, State, successor_bits
+from .program import ActInstruction, GotoInstruction, Program
 
 # Cap on distinct program states remembered per execution (configurable).
 DEFAULT_STATE_CAP = 1 << 22
@@ -113,22 +105,31 @@ def bind_program(program: Program, frame: Frame) -> list[tuple]:
     return ops
 
 
+def _advance(ops: list[tuple], bits: int, pc: int) -> tuple[int, int] | Terminated | StepFailure:
+    """Run the bound op at ``pc``: the next ``(bits, pc)``, or
+    :data:`TERMINATED` at ``end``, or a :class:`StepFailure` when an act's
+    precondition does not hold."""
+    op = ops[pc]
+    kind = op[0]
+    if kind == _ACT:
+        action = op[1]
+        if not action.pre.holds(bits):
+            return StepFailure(pc, action.name)
+        return successor_bits(bits, action), pc + 1
+    if kind == _GOTO:
+        # Fall through when the fluent is true, jump when it is false.
+        return bits, (pc + 1 if bits >> op[2] & 1 else op[1])
+    return TERMINATED
+
+
 def step(program: Program, frame: Frame, ps: ProgramState) -> StepResult:
     """Execute the single instruction at ``ps.pc``."""
     if not 0 <= ps.pc <= program.n:
         raise ModelError(f"program counter {ps.pc} outside [0, {program.n}]")
-    ins = program.lines[ps.pc]
-    if isinstance(ins, EndInstruction):
-        return TERMINATED
-    if isinstance(ins, ActInstruction):
-        action = frame.action(ins.action)
-        if not is_applicable(ps.state, action):
-            return StepFailure(ps.pc, ins.action)
-        return ProgramState(successor(ps.state, action), ps.pc + 1)
-    # Goto: fall through when the fluent is true, jump when it is false.
-    if ps.state.value(frame.fluent_id(ins.fluent)):
-        return ProgramState(ps.state, ps.pc + 1)
-    return ProgramState(ps.state, ins.target)
+    nxt = _advance(bind_program(program, frame), ps.state.bits, ps.pc)
+    if isinstance(nxt, tuple):
+        return ProgramState(State(nxt[0], ps.state.width), nxt[1])
+    return nxt
 
 
 def execute(
@@ -138,55 +139,40 @@ def execute(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ExecutionOutcome:
     """Run ``program`` from ``(instance.init, 0)`` to one of the outcomes."""
-    frame = instance.frame
-    ops = bind_program(program, frame)
-    width = frame.width
-    bits = instance.init.bits
-    pc = 0
+    ops = bind_program(program, instance.frame)
+    key = (instance.init.bits, 0)
     steps = 0
-    seen = {(bits, pc)}
-    while True:
-        op = ops[pc]
-        kind = op[0]
-        if kind == _END:
-            solved = instance.goal.holds_in(State(bits, width))
-            return ExecutionOutcome(
-                solved=solved,
-                steps=steps,
-                failure=None if solved else FailureKind.INCOMPLETE,
-            )
-        if kind == _ACT:
-            action: Action = op[1]
-            if (bits & action.pre.pos) != action.pre.pos or bits & action.pre.neg:
-                return ExecutionOutcome(
-                    solved=False,
-                    steps=steps,
-                    failure=FailureKind.INAPPLICABLE,
-                    line=pc,
-                    action=action.name,
-                )
-            bits = successor(State(bits, width), action).bits
-            pc += 1
-        else:
-            if bits >> op[2] & 1:
-                pc += 1
-            else:
-                pc = op[1]
+    seen = {key}
+    while isinstance(nxt := _advance(ops, *key), tuple):
+        key = nxt
         steps += 1
-        key = (bits, pc)
         if key in seen:
             return ExecutionOutcome(
                 solved=False,
                 steps=steps,
                 failure=FailureKind.INFINITE_LOOP,
                 repeat_step=steps,
-                repeat_state=ProgramState(State(bits, width), pc),
+                repeat_state=ProgramState(State(key[0], instance.init.width), key[1]),
             )
         if len(seen) >= state_cap:
             raise ExecutionResourceError(
                 f"visited-state cap {state_cap} exceeded after {steps} steps"
             )
         seen.add(key)
+    if nxt is TERMINATED:
+        solved = instance.goal.holds(key[0])
+        return ExecutionOutcome(
+            solved=solved,
+            steps=steps,
+            failure=None if solved else FailureKind.INCOMPLETE,
+        )
+    return ExecutionOutcome(
+        solved=False,
+        steps=steps,
+        failure=FailureKind.INAPPLICABLE,
+        line=nxt.line,
+        action=nxt.action,
+    )
 
 
 def validate_program(

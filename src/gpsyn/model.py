@@ -33,9 +33,6 @@ class Literal:
     fluent: int
     positive: bool = True
 
-    def negated(self) -> "Literal":
-        return Literal(self.fluent, not self.positive)
-
     def render(self, frame: "Frame") -> str:
         name = frame.fluents[self.fluent].name
         return name if self.positive else "!" + name
@@ -83,19 +80,16 @@ class LiteralSet:
             )
         return LiteralSet(self.pos | other.pos, self.neg | other.neg)
 
-    def conflicts_with(self, other: "LiteralSet") -> bool:
-        return bool((self.pos & other.neg) | (self.neg & other.pos))
-
     def negate(self) -> "LiteralSet":
         """The complement view: every literal with its polarity flipped."""
         return LiteralSet(self.neg, self.pos)
 
-    def holds_in(self, state: "State") -> bool:
-        bits = state.bits
+    def holds(self, bits: int) -> bool:
+        """True iff every literal holds in the state bitmask ``bits``."""
         return (bits & self.pos) == self.pos and (bits & self.neg) == 0
 
-    def contains(self, other: "LiteralSet") -> bool:
-        return (self.pos & other.pos) == other.pos and (self.neg & other.neg) == other.neg
+    def holds_in(self, state: "State") -> bool:
+        return self.holds(state.bits)
 
     def render(self, frame: "Frame") -> str:
         return "{" + ", ".join(l.render(frame) for l in self.literals()) + "}"
@@ -139,9 +133,6 @@ class State:
             raise ModelError(f"fluent id {fluent} out of range for width {self.width}")
         return bool(self.bits >> fluent & 1)
 
-    def satisfies(self, condition: LiteralSet) -> bool:
-        return condition.holds_in(self)
-
     def true_fluents(self) -> Iterator[int]:
         return _bit_ids(self.bits)
 
@@ -181,6 +172,15 @@ class Action:
     name: str
     pre: LiteralSet
     cond: tuple[ConditionalEffect, ...]
+
+    @cached_property
+    def branches(self) -> tuple[tuple[int, int, int, int], ...]:
+        """``cond`` flattened once into ``(cond.pos, cond.neg, eff.pos,
+        eff.neg)`` mask tuples for :func:`triggered_masks`."""
+        return tuple(
+            (ce.condition.pos, ce.condition.neg, ce.effect.pos, ce.effect.neg)
+            for ce in self.cond
+        )
 
 
 @dataclass(frozen=True)
@@ -368,33 +368,48 @@ def is_applicable(state: State, action: Action) -> bool:
     return action.pre.holds_in(state)
 
 
-def triggered_effects(state: State, action: Action) -> LiteralSet:
-    """Union of effects whose conditions hold in ``state``.
+def triggered_masks(bits: int, action: Action) -> tuple[int, int]:
+    """``(pos, neg)`` masks of the effects of ``action`` whose conditions
+    hold in the state bitmask ``bits``.
 
-    Raises :class:`ConflictError` when two triggered effects assert opposite
-    polarities of one fluent; the paper assumes consistency WLOG, so a clash
-    means the domain encoding is broken and must not be papered over.
+    This is the single place conditional effects are evaluated: the
+    interpreter, the planner, plan replay and trace decoding all reach it
+    through :func:`successor_bits`. Raises :class:`ConflictError` when two
+    triggered effects assert opposite polarities of one fluent; the paper
+    assumes consistency WLOG, so a clash means the domain encoding is broken
+    and must not be papered over.
     """
     pos = neg = 0
-    for ce in action.cond:
-        if ce.condition.holds_in(state):
-            pos |= ce.effect.pos
-            neg |= ce.effect.neg
+    for cpos, cneg, epos, eneg in action.branches:
+        if (bits & cpos) == cpos and not bits & cneg:
+            pos |= epos
+            neg |= eneg
     if pos & neg:
         raise ConflictError(
             f"action {action.name!r} triggers conflicting effects on fluents "
             f"{_bit_ids(pos & neg)}"
         )
-    return LiteralSet(pos, neg)
+    return pos, neg
+
+
+def successor_bits(bits: int, action: Action) -> int:
+    """The state bitmask after applying ``action`` to ``bits``; fluents
+    outside the triggered effects keep their polarity. The caller checks the
+    precondition."""
+    pos, neg = triggered_masks(bits, action)
+    return (bits | pos) & ~neg
+
+
+def triggered_effects(state: State, action: Action) -> LiteralSet:
+    """Union of effects whose conditions hold in ``state``."""
+    return LiteralSet(*triggered_masks(state.bits, action))
 
 
 def successor(state: State, action: Action) -> State:
-    """The state after applying ``action``; fluents outside the triggered
-    effects keep their polarity."""
+    """The state after applying ``action``, which must be applicable."""
     if not is_applicable(state, action):
         raise InapplicableActionError(f"action {action.name!r} not applicable")
-    eff = triggered_effects(state, action)
-    return State((state.bits | eff.pos) & ~eff.neg, state.width)
+    return State(successor_bits(state.bits, action), state.width)
 
 
 def validate_sequential_plan(problem, plan: PlanLike) -> bool:
@@ -403,13 +418,13 @@ def validate_sequential_plan(problem, plan: PlanLike) -> bool:
     ``problem`` needs ``frame``/``init``/``goal``, so both classical and
     compiled instances work. Inapplicability yields ``False``, not an error.
     """
-    state = problem.init
+    bits = problem.init.bits
     for step in plan:
         action = problem.frame.actions[step] if isinstance(step, int) else step
-        if not is_applicable(state, action):
+        if not action.pre.holds(bits):
             return False
-        state = successor(state, action)
-    return problem.goal.holds_in(state)
+        bits = successor_bits(bits, action)
+    return problem.goal.holds(bits)
 
 
 def _bit_ids(mask: int) -> list[int]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalConsistencyError, ModelError
-from .model import State, validate_sequential_plan
+from .model import State, successor_bits, validate_sequential_plan
 
 INF = float("inf")
 
@@ -81,37 +81,6 @@ class SolveResult:
         return self.status is SolveStatus.SOLVED
 
 
-class _Ground:
-    """Flattened action table: mask tuples for the hot search loop."""
-
-    __slots__ = ("pre_pos", "pre_neg", "branches", "n_actions")
-
-    def __init__(self, frame):
-        self.pre_pos = []
-        self.pre_neg = []
-        self.branches = []
-        for act in frame.actions:
-            self.pre_pos.append(act.pre.pos)
-            self.pre_neg.append(act.pre.neg)
-            self.branches.append(
-                [
-                    (ce.condition.pos, ce.condition.neg, ce.effect.pos, ce.effect.neg)
-                    for ce in act.cond
-                ]
-            )
-        self.n_actions = len(frame.actions)
-
-    def successor_bits(self, bits: int, idx: int) -> int:
-        pos = neg = 0
-        for cpos, cneg, epos, eneg in self.branches[idx]:
-            if (bits & cpos) == cpos and not bits & cneg:
-                pos |= epos
-                neg |= eneg
-        if pos & neg:
-            raise ModelError(f"conflicting triggered effects for action index {idx}")
-        return (bits | pos) & ~neg
-
-
 class _HAdd:
     """Additive heuristic over literals, with conditional effects split into
     one relaxed operator per effect branch (precondition ∪ condition)."""
@@ -140,12 +109,8 @@ class _HAdd:
                 consumers[p].append(o)
         self.consumers = consumers
         self.goal_lits = _lits(goal.pos, goal.neg)
-        self._cache: dict[int, float] = {}
 
     def value(self, bits: int) -> float:
-        cached = self._cache.get(bits)
-        if cached is not None:
-            return cached
         width = self.width
         cost = [INF] * self.n_props
         heap = []
@@ -199,7 +164,6 @@ class _HAdd:
                 total = INF
                 break
             total += cg
-        self._cache[bits] = total
         return total
 
 
@@ -235,7 +199,9 @@ def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
     Every returned plan is replayed through the strict successor semantics
     before being handed back.
     """
-    ground = _Ground(problem.frame)
+    # Preconditions unpacked once: the search loops test every action on
+    # every expansion.
+    table = [(a.pre.pos, a.pre.neg, a) for a in problem.frame.actions]
     goal_pos = problem.goal.pos
     goal_neg = problem.goal.neg
     start_bits = problem.init.bits
@@ -245,7 +211,7 @@ def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
         return (bits & goal_pos) == goal_pos and not bits & goal_neg
 
     if config.strategy is Strategy.BFS:
-        result = _bfs(ground, start_bits, is_goal, config, t0)
+        result = _bfs(table, start_bits, is_goal, config, t0)
     else:
         if config.heuristic is Heuristic.HADD:
             evaluator = _HAdd(problem.frame, problem.goal).value
@@ -255,7 +221,7 @@ def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
         else:
             def evaluator(bits: int) -> float:
                 return 0
-        result = _gbfs(ground, start_bits, is_goal, evaluator, config, t0)
+        result = _gbfs(table, start_bits, is_goal, evaluator, config, t0)
 
     if result.solved and not validate_sequential_plan(problem, result.plan.actions):
         raise InternalConsistencyError("search returned a plan that does not validate")
@@ -286,28 +252,23 @@ def _out_of_budget(config, expansions, t0) -> bool:
     return False
 
 
-def _bfs(ground, start_bits, is_goal, config, t0) -> SolveResult:
+def _bfs(table, start_bits, is_goal, config, t0) -> SolveResult:
     if is_goal(start_bits):
         stats = SearchStats(0, 0, time.monotonic() - t0)
         return SolveResult(SolveStatus.SOLVED, Plan((), stats), stats)
     parents = {start_bits: None}
     queue = deque([start_bits])
     expansions = generated = 0
-    n_actions = ground.n_actions
-    pre_pos = ground.pre_pos
-    pre_neg = ground.pre_neg
-    succ = ground.successor_bits
     while queue:
         if _out_of_budget(config, expansions, t0):
             stats = SearchStats(expansions, generated, time.monotonic() - t0)
             return SolveResult(SolveStatus.RESOURCE_EXHAUSTED, None, stats)
         bits = queue.popleft()
         expansions += 1
-        for idx in range(n_actions):
-            pp = pre_pos[idx]
-            if (bits & pp) != pp or bits & pre_neg[idx]:
+        for idx, (pp, pn, action) in enumerate(table):
+            if (bits & pp) != pp or bits & pn:
                 continue
-            child = succ(bits, idx)
+            child = successor_bits(bits, action)
             if child in parents:
                 continue
             parents[child] = (bits, idx)
@@ -322,7 +283,7 @@ def _bfs(ground, start_bits, is_goal, config, t0) -> SolveResult:
     return SolveResult(SolveStatus.PROVED_UNSOLVABLE, None, stats)
 
 
-def _gbfs(ground, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
+def _gbfs(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
     if is_goal(start_bits):
         stats = SearchStats(0, 0, time.monotonic() - t0)
         return SolveResult(SolveStatus.SOLVED, Plan((), stats), stats)
@@ -334,21 +295,16 @@ def _gbfs(ground, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
     counter = 0
     heap = [(h0, counter, start_bits)]
     expansions = generated = 0
-    n_actions = ground.n_actions
-    pre_pos = ground.pre_pos
-    pre_neg = ground.pre_neg
-    succ = ground.successor_bits
     while heap:
         if _out_of_budget(config, expansions, t0):
             stats = SearchStats(expansions, generated, time.monotonic() - t0)
             return SolveResult(SolveStatus.RESOURCE_EXHAUSTED, None, stats)
         _, _, bits = heapq.heappop(heap)
         expansions += 1
-        for idx in range(n_actions):
-            pp = pre_pos[idx]
-            if (bits & pp) != pp or bits & pre_neg[idx]:
+        for idx, (pp, pn, action) in enumerate(table):
+            if (bits & pp) != pp or bits & pn:
                 continue
-            child = succ(bits, idx)
+            child = successor_bits(bits, action)
             if child in parents:
                 continue
             parents[child] = (bits, idx)

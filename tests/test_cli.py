@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import gpsyn
 from gpsyn import jsonio
 from gpsyn.cli import (
     EXIT_EXHAUSTED,
@@ -306,11 +309,15 @@ class TestExportPddl:
 
 def test_console_entry_point_subprocess(tmp_path):
     out = tmp_path / "p.json"
+    # The child imports the same gpsyn as this process, installed or not.
+    src = str(Path(gpsyn.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "gpsyn.cli", "gen", "list", "--size", "2",
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

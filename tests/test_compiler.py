@@ -289,6 +289,10 @@ class TestDecodeTrace:
         compiled = compile_validation(corridor_task, loop_after_body_program)
         with pytest.raises(MalformedPlanError):
             decode_trace([], compiled)
+        # Dropping the first action makes a later step inapplicable.
+        plan = solve(compiled, BFS_CONFIG).plan.actions
+        with pytest.raises(MalformedPlanError):
+            decode_trace(plan[1:], compiled)
 
     def test_solved_and_failure_roles(self, corridor_task, loop_after_body_program):
         compiled = compile_validation(corridor_task, loop_after_body_program)

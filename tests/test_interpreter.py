@@ -15,7 +15,7 @@ from gpsyn.interpreter import (
 from gpsyn.model import ClassicalInstance, FrameBuilder, Label
 from gpsyn.program import parse_program
 from gpsyn.model import validate_sequential_plan
-from helpers import random_frame, random_program, random_state
+from helpers import random_frame, random_goal, random_program, random_state
 
 from gpsyn.domains import InstanceSpec, build_task
 
@@ -129,6 +129,42 @@ class TestExecute:
             )
             out = execute(prog, inst)  # must return, never hang
             assert out.solved or out.failure is not None
+
+    def test_step_fold_agrees_with_execute(self):
+        # Differential: folding step from (init, 0) until end, an inapplicable
+        # act or a repeated program state must reproduce execute's outcome.
+        rng = random.Random(41)
+        kinds = set()
+        for _ in range(300):
+            frame = random_frame(rng, rng.randint(2, 5), rng.randint(1, 3))
+            prog = random_program(rng, frame, rng.randint(1, 4))
+            inst = ClassicalInstance(
+                frame, "r", random_state(rng, frame), random_goal(rng, frame)
+            )
+            out = execute(prog, inst)
+            ps, steps, seen = ProgramState(inst.init, 0), 0, set()
+            while True:
+                seen.add(ps)
+                nxt = step(prog, frame, ps)
+                if not isinstance(nxt, ProgramState):
+                    break
+                ps = nxt
+                steps += 1
+                if ps in seen:
+                    break
+            assert out.steps == steps
+            if nxt is TERMINATED:
+                solved = inst.goal.holds_in(ps.state)
+                assert out.solved == solved
+                assert out.failure is (None if solved else FailureKind.INCOMPLETE)
+            elif isinstance(nxt, StepFailure):
+                assert out.failure is FailureKind.INAPPLICABLE
+                assert (out.line, out.action) == (nxt.line, nxt.action)
+            else:
+                assert out.failure is FailureKind.INFINITE_LOOP
+                assert out.repeat_state == ps
+            kinds.add(out.failure)
+        assert kinds == {None, *FailureKind}
 
     def test_straight_line_agrees_with_sequential_plan_oracle(self):
         rng = random.Random(5)

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from gpsyn import planner
-from gpsyn.errors import ModelError
+from gpsyn.errors import ConflictError, ModelError
 from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
@@ -62,6 +62,17 @@ def test_bfs_proves_unsolvable():
     inst = ClassicalInstance(frame, "t", frame.state([]), frame.literal_set("goal"))
     result = solve(inst, BFS_CONFIG)
     assert result.status is SolveStatus.PROVED_UNSOLVABLE
+
+
+def test_conflicting_effects_raise_conflict_error_naming_action():
+    b = FrameBuilder()
+    b.fluent("b")
+    b.action("clash", cond=[([], ["b"]), ([], ["!b"])])
+    frame = b.build()
+    inst = ClassicalInstance(frame, "t", frame.state([]), frame.literal_set("b"))
+    for cfg in (BFS_CONFIG, SearchConfig()):
+        with pytest.raises(ConflictError, match="'clash'"):
+            solve(inst, cfg)
 
 
 def test_expansion_budget_exhausts():

@@ -11,8 +11,8 @@ from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     Label,
+    successor_bits,
 )
-from gpsyn.planner import _Ground
 from helpers import random_frame, random_generalized_problem
 
 
@@ -67,17 +67,14 @@ class TestJson:
 
 
 def reachable_space(problem):
-    ground = _Ground(problem.frame)
     frontier = [problem.init.bits]
     seen = {problem.init.bits}
     while frontier:
         bits = frontier.pop()
-        for idx in range(ground.n_actions):
-            if (bits & ground.pre_pos[idx]) != ground.pre_pos[idx]:
+        for action in problem.frame.actions:
+            if not action.pre.holds(bits):
                 continue
-            if bits & ground.pre_neg[idx]:
-                continue
-            child = ground.successor_bits(bits, idx)
+            child = successor_bits(bits, action)
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
