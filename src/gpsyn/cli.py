@@ -7,8 +7,9 @@ test set), ``export-pddl`` (ground PDDL for external planners).
 
 Exit codes: 0 success, 2 parse/input error, 3 proved unsolvable, 4 resource
 exhausted, 5 internal consistency failure. ``GPSYN_PLANNER_BUDGET`` overrides
-the default expansion budget. Every output file gets a deterministic manifest
-(embedded) and a timestamped sidecar ``<output>.manifest.json``.
+the default expansion budget of ``synth`` and of compiled ``validate``. Every
+output file gets a deterministic manifest (embedded) and a timestamped sidecar
+``<output>.manifest.json``.
 """
 
 from __future__ import annotations
@@ -71,16 +72,26 @@ def _manifest_comment(manifest: dict) -> str:
     return "".join(f"# {line}\n" for line in json.dumps(manifest, indent=2).splitlines())
 
 
-def _search_config(args) -> SearchConfig:
-    budget = args.max_expansions
-    if budget is None and os.environ.get(_BUDGET_ENV):
-        budget = int(os.environ[_BUDGET_ENV])
-    return SearchConfig(
-        strategy=Strategy(args.strategy),
-        heuristic=Heuristic(args.heuristic),
-        max_expansions=budget,
-        max_seconds=args.max_seconds,
-    )
+class _BudgetExhausted(Exception):
+    """A search ran out of budget; ``main`` maps it to exit code 4."""
+
+    def __init__(self, stats):
+        super().__init__(
+            f"search budget exhausted after {stats.expansions} expansions "
+            f"({stats.elapsed:.1f}s)"
+        )
+
+
+def _search_config(max_expansions=None, **fields) -> SearchConfig:
+    """A search config whose expansion budget, when not given, comes from
+    ``GPSYN_PLANNER_BUDGET``."""
+    text = os.environ.get(_BUDGET_ENV)
+    if max_expansions is None and text:
+        try:
+            max_expansions = int(text)
+        except ValueError:
+            raise ParseError(f"{_BUDGET_ENV} must be an integer, got {text!r}") from None
+    return SearchConfig(max_expansions=max_expansions, **fields)
 
 
 def _load_program(path):
@@ -160,7 +171,12 @@ def _cmd_synth(args) -> int:
         compiled = compile_synthesis_pn(
             problem, args.lines, allow_forward_gotos=not args.backward_gotos_only
         )
-    config = _search_config(args)
+    config = _search_config(
+        args.max_expansions,
+        strategy=Strategy(args.strategy),
+        heuristic=Heuristic(args.heuristic),
+        max_seconds=args.max_seconds,
+    )
     result = planner.solve(compiled, config)
     if result.status is SolveStatus.PROVED_UNSOLVABLE:
         print(
@@ -170,12 +186,7 @@ def _cmd_synth(args) -> int:
         )
         return EXIT_UNSOLVABLE
     if result.status is SolveStatus.RESOURCE_EXHAUSTED:
-        print(
-            f"search budget exhausted after {result.stats.expansions} expansions "
-            f"({result.stats.elapsed:.1f}s)",
-            file=sys.stderr,
-        )
-        return EXIT_EXHAUSTED
+        raise _BudgetExhausted(result.stats)
     decoded = decode_program(result.plan.actions, compiled)
     report = validate_program(decoded.program, problem)
     if not report.passed:
@@ -235,9 +246,10 @@ def _direct_outcomes(program, problem):
 
 def _compiled_outcomes(program, problem):
     compiled = compile_validation(problem, program)
-    result = planner.solve(compiled, planner.BFS_CONFIG)
+    config = _search_config(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
+    result = planner.solve(compiled, config)
     if result.status is SolveStatus.RESOURCE_EXHAUSTED:
-        raise InternalConsistencyError("compiled validation exhausted its budget")
+        raise _BudgetExhausted(result.stats)
     if not result.solved:
         return False, None
     outcomes = []
@@ -452,6 +464,9 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except _BudgetExhausted as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_EXHAUSTED
     except InternalConsistencyError as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -50,7 +50,7 @@ class LiteralSet:
     def __init__(self, pos: int = 0, neg: int = 0):
         if pos & neg:
             raise ConflictError(
-                f"literal set assigns both polarities to fluents {_bit_ids(pos & neg)}"
+                f"literal set assigns both polarities to fluents {bit_ids(pos & neg)}"
             )
         self.pos = pos
         self.neg = neg
@@ -66,9 +66,9 @@ class LiteralSet:
         return cls(pos, neg)
 
     def literals(self) -> Iterator[Literal]:
-        for f in _bit_ids(self.pos):
+        for f in bit_ids(self.pos):
             yield Literal(f, True)
-        for f in _bit_ids(self.neg):
+        for f in bit_ids(self.neg):
             yield Literal(f, False)
 
     def union(self, other: "LiteralSet") -> "LiteralSet":
@@ -76,7 +76,7 @@ class LiteralSet:
         clash = (self.pos & other.neg) | (self.neg & other.pos)
         if clash:
             raise ConflictError(
-                f"conflicting polarities for fluents {_bit_ids(clash)} in union"
+                f"conflicting polarities for fluents {bit_ids(clash)} in union"
             )
         return LiteralSet(self.pos | other.pos, self.neg | other.neg)
 
@@ -134,7 +134,7 @@ class State:
         return bool(self.bits >> fluent & 1)
 
     def true_fluents(self) -> Iterator[int]:
-        return _bit_ids(self.bits)
+        return bit_ids(self.bits)
 
     def render(self, frame: "Frame") -> str:
         return "{" + ", ".join(frame.fluents[f].name for f in self.true_fluents()) + "}"
@@ -387,7 +387,7 @@ def triggered_masks(bits: int, action: Action) -> tuple[int, int]:
     if pos & neg:
         raise ConflictError(
             f"action {action.name!r} triggers conflicting effects on fluents "
-            f"{_bit_ids(pos & neg)}"
+            f"{bit_ids(pos & neg)}"
         )
     return pos, neg
 
@@ -427,7 +427,8 @@ def validate_sequential_plan(problem, plan: PlanLike) -> bool:
     return problem.goal.holds(bits)
 
 
-def _bit_ids(mask: int) -> list[int]:
+def bit_ids(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
     ids = []
     i = 0
     while mask:

@@ -1,10 +1,12 @@
 """Desk-scale classical planner for ground instances with conditional effects.
 
-Two strategies: breadth-first search (complete; exhausting the space proves
-unsolvability) and greedy best-first search with an additive heuristic
-(satisficing; used for the large compiled synthesis instances). States are
-bitmasks, duplicate detection is over full states, and tie-breaking is FIFO,
-so results are deterministic for a given instance and configuration.
+One best-first search loop: it expands the open state of lowest heuristic
+value, FIFO among equal values. Greedy best-first search with an additive
+heuristic (satisficing) serves the large compiled synthesis instances;
+breadth-first search is its blind case (h = 0), so it finds shortest plans
+and exhausting the space proves unsolvability. States are bitmasks and
+duplicate detection is over full states, so results are deterministic for a
+given instance and configuration.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalConsistencyError, ModelError
-from .model import State, successor_bits, validate_sequential_plan
+from .model import State, bit_ids, successor_bits, validate_sequential_plan
 
 INF = float("inf")
 
@@ -34,6 +36,10 @@ class Heuristic(Enum):
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """``strategy`` and ``heuristic`` only pick the evaluator of the one
+    search loop: ``Strategy.BFS`` ignores ``heuristic`` and searches blind,
+    as does ``Heuristic.BLIND``."""
+
     strategy: Strategy = Strategy.GBFS
     heuristic: Heuristic = Heuristic.HADD
     max_expansions: int | None = None
@@ -92,14 +98,11 @@ class _HAdd:
         op_pre: list[list[int]] = []
         op_add: list[list[int]] = []
         for act in frame.actions:
-            base = _lits(act.pre.pos, act.pre.neg)
-            for ce in act.cond:
-                # dedupe: a literal shared by precondition and condition must
-                # not be summed twice
-                pre = sorted(set(base) | set(_lits(ce.condition.pos, ce.condition.neg)))
-                add = _lits(ce.effect.pos, ce.effect.neg)
-                op_pre.append(pre)
-                op_add.append(add)
+            for cpos, cneg, epos, eneg in act.branches:
+                # the mask union counts a literal shared by precondition and
+                # condition once
+                op_pre.append(_lits(act.pre.pos | cpos, act.pre.neg | cneg))
+                op_add.append(_lits(epos, eneg))
         self.op_pre = op_pre
         self.op_add = op_add
         self.pre_counts = [len(p) for p in op_pre]
@@ -168,20 +171,7 @@ class _HAdd:
 
 
 def _lits(pos: int, neg: int) -> list[int]:
-    out = []
-    f = 0
-    while pos:
-        if pos & 1:
-            out.append(2 * f)
-        pos >>= 1
-        f += 1
-    f = 0
-    while neg:
-        if neg & 1:
-            out.append(2 * f + 1)
-        neg >>= 1
-        f += 1
-    return out
+    return [2 * f for f in bit_ids(pos)] + [2 * f + 1 for f in bit_ids(neg)]
 
 
 def h_add(state: State, problem) -> float:
@@ -196,48 +186,27 @@ def h_add(state: State, problem) -> float:
 def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
     """Search ``problem`` (anything with frame/init/goal) for a plan.
 
+    The configuration only picks the evaluator of the one search loop.
     Every returned plan is replayed through the strict successor semantics
     before being handed back.
     """
-    # Preconditions unpacked once: the search loops test every action on
+    # Preconditions unpacked once: the search loop tests every action on
     # every expansion.
     table = [(a.pre.pos, a.pre.neg, a) for a in problem.frame.actions]
-    goal_pos = problem.goal.pos
-    goal_neg = problem.goal.neg
-    start_bits = problem.init.bits
+    goal = problem.goal
     t0 = time.monotonic()
-
-    def is_goal(bits: int) -> bool:
-        return (bits & goal_pos) == goal_pos and not bits & goal_neg
-
-    if config.strategy is Strategy.BFS:
-        result = _bfs(table, start_bits, is_goal, config, t0)
+    if config.strategy is Strategy.BFS or config.heuristic is Heuristic.BLIND:
+        def evaluator(bits: int) -> float:
+            return 0
+    elif config.heuristic is Heuristic.GOAL_COUNT:
+        def evaluator(bits: int) -> float:
+            return (goal.pos & ~bits).bit_count() + (goal.neg & bits).bit_count()
     else:
-        if config.heuristic is Heuristic.HADD:
-            evaluator = _HAdd(problem.frame, problem.goal).value
-        elif config.heuristic is Heuristic.GOAL_COUNT:
-            def evaluator(bits: int) -> float:
-                return (goal_pos & ~bits).bit_count() + (goal_neg & bits).bit_count()
-        else:
-            def evaluator(bits: int) -> float:
-                return 0
-        result = _gbfs(table, start_bits, is_goal, evaluator, config, t0)
-
+        evaluator = _HAdd(problem.frame, goal).value
+    result = _search(table, problem.init.bits, goal.holds, evaluator, config, t0)
     if result.solved and not validate_sequential_plan(problem, result.plan.actions):
         raise InternalConsistencyError("search returned a plan that does not validate")
     return result
-
-
-def _reconstruct(parents, bits, stats) -> Plan:
-    actions = []
-    while True:
-        prev = parents[bits]
-        if prev is None:
-            break
-        bits, idx = prev
-        actions.append(idx)
-    actions.reverse()
-    return Plan(tuple(actions), stats)
 
 
 def _out_of_budget(config, expansions, t0) -> bool:
@@ -252,54 +221,39 @@ def _out_of_budget(config, expansions, t0) -> bool:
     return False
 
 
-def _bfs(table, start_bits, is_goal, config, t0) -> SolveResult:
-    if is_goal(start_bits):
-        stats = SearchStats(0, 0, time.monotonic() - t0)
-        return SolveResult(SolveStatus.SOLVED, Plan((), stats), stats)
-    parents = {start_bits: None}
-    queue = deque([start_bits])
-    expansions = generated = 0
-    while queue:
-        if _out_of_budget(config, expansions, t0):
-            stats = SearchStats(expansions, generated, time.monotonic() - t0)
-            return SolveResult(SolveStatus.RESOURCE_EXHAUSTED, None, stats)
-        bits = queue.popleft()
-        expansions += 1
-        for idx, (pp, pn, action) in enumerate(table):
-            if (bits & pp) != pp or bits & pn:
-                continue
-            child = successor_bits(bits, action)
-            if child in parents:
-                continue
-            parents[child] = (bits, idx)
-            generated += 1
-            if is_goal(child):
-                stats = SearchStats(expansions, generated, time.monotonic() - t0)
-                return SolveResult(
-                    SolveStatus.SOLVED, _reconstruct(parents, child, stats), stats
-                )
-            queue.append(child)
+def _finish(status, t0, expansions, generated, parents=None, goal_bits=None):
+    """The search result, with the plan to ``goal_bits`` read back from
+    ``parents`` when the search reached the goal."""
     stats = SearchStats(expansions, generated, time.monotonic() - t0)
-    return SolveResult(SolveStatus.PROVED_UNSOLVABLE, None, stats)
+    if goal_bits is None:
+        return SolveResult(status, None, stats)
+    actions = []
+    while parents[goal_bits] is not None:
+        goal_bits, idx = parents[goal_bits]
+        actions.append(idx)
+    return SolveResult(status, Plan(tuple(reversed(actions)), stats), stats)
 
 
-def _gbfs(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
+def _search(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
+    """Best-first search expanding the lowest-h state first, FIFO among
+    equal h. The open list maps each h to a FIFO bucket, with a heap of the
+    h values that have one, so a constant evaluator makes this plain BFS."""
+    parents = {start_bits: None}
     if is_goal(start_bits):
-        stats = SearchStats(0, 0, time.monotonic() - t0)
-        return SolveResult(SolveStatus.SOLVED, Plan((), stats), stats)
+        return _finish(SolveStatus.SOLVED, t0, 0, 0, parents, start_bits)
     h0 = evaluator(start_bits)
     if h0 == INF:
-        stats = SearchStats(0, 0, time.monotonic() - t0)
-        return SolveResult(SolveStatus.PROVED_UNSOLVABLE, None, stats)
-    parents = {start_bits: None}
-    counter = 0
-    heap = [(h0, counter, start_bits)]
+        return _finish(SolveStatus.PROVED_UNSOLVABLE, t0, 0, 0)
+    buckets = {h0: deque([start_bits])}
+    open_hs = [h0]
     expansions = generated = 0
-    while heap:
+    while open_hs:
         if _out_of_budget(config, expansions, t0):
-            stats = SearchStats(expansions, generated, time.monotonic() - t0)
-            return SolveResult(SolveStatus.RESOURCE_EXHAUSTED, None, stats)
-        _, _, bits = heapq.heappop(heap)
+            return _finish(SolveStatus.RESOURCE_EXHAUSTED, t0, expansions, generated)
+        bucket = buckets[open_hs[0]]
+        bits = bucket.popleft()
+        if not bucket:
+            del buckets[heapq.heappop(open_hs)]
         expansions += 1
         for idx, (pp, pn, action) in enumerate(table):
             if (bits & pp) != pp or bits & pn:
@@ -310,18 +264,20 @@ def _gbfs(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
             parents[child] = (bits, idx)
             generated += 1
             if is_goal(child):
-                stats = SearchStats(expansions, generated, time.monotonic() - t0)
-                return SolveResult(
-                    SolveStatus.SOLVED, _reconstruct(parents, child, stats), stats
+                return _finish(
+                    SolveStatus.SOLVED, t0, expansions, generated, parents, child
                 )
             h = evaluator(child)
             if h == INF:
                 continue  # safe pruning: relaxed-unreachable implies unreachable
-            counter += 1
-            heapq.heappush(heap, (h, counter, child))
-    # Full duplicate detection plus safe pruning: an exhausted frontier is a proof.
-    stats = SearchStats(expansions, generated, time.monotonic() - t0)
-    return SolveResult(SolveStatus.PROVED_UNSOLVABLE, None, stats)
+            bucket = buckets.get(h)
+            if bucket is None:
+                buckets[h] = deque([child])
+                heapq.heappush(open_hs, h)
+            else:
+                bucket.append(child)
+    # Full duplicate detection plus safe pruning: an exhausted open list is a proof.
+    return _finish(SolveStatus.PROVED_UNSOLVABLE, t0, expansions, generated)
 
 
 def goal_reachable(instance, config: SearchConfig = BFS_CONFIG) -> bool:

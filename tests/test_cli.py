@@ -119,6 +119,14 @@ class TestSynth:
                      "--out", str(tmp_path / "p.txt")])
         assert code == EXIT_EXHAUSTED
 
+    def test_malformed_env_budget_is_parse_error(self, trisum_problem, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setenv("GPSYN_PLANNER_BUDGET", "abc")
+        code = main(["synth", "--problem", str(trisum_problem), "--lines", "3",
+                     "--out", str(tmp_path / "p.txt")])
+        assert code == EXIT_PARSE
+        assert "GPSYN_PLANNER_BUDGET" in capsys.readouterr().err
+
     def test_missing_problem_file(self, tmp_path):
         code = main(["synth", "--problem", str(tmp_path / "nope.json"),
                      "--lines", "2", "--out", str(tmp_path / "p.txt")])
@@ -225,6 +233,16 @@ class TestValidate:
         assert payload["direct"]["passed"] is True
         assert payload["compiled"]["passed"] is True
         assert payload["agree"] is True
+
+    @pytest.mark.parametrize("mode", ["compiled", "both"])
+    def test_env_budget_reaches_compiled_validation(self, corridor_files, mode,
+                                                    monkeypatch, capsys):
+        problem, program = corridor_files
+        monkeypatch.setenv("GPSYN_PLANNER_BUDGET", "1")
+        code = main(["validate", "--problem", str(problem), "--program", str(program),
+                     "--mode", mode])
+        assert code == EXIT_EXHAUSTED
+        assert "search budget exhausted after 1 expansions" in capsys.readouterr().err
 
     def test_mode_disagreement_is_internal_error(self, corridor_files, monkeypatch):
         from gpsyn import cli as cli_mod

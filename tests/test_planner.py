@@ -8,6 +8,8 @@ from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     Label,
+    is_applicable,
+    successor,
     validate_sequential_plan,
 )
 from gpsyn.planner import (
@@ -20,7 +22,7 @@ from gpsyn.planner import (
     h_add,
     solve,
 )
-from helpers import random_frame, random_goal, random_state
+from helpers import random_frame, random_goal, random_state, random_validation_case
 
 from gpsyn.compiler import compile_validation
 from gpsyn.domains import InstanceSpec, build_task
@@ -52,6 +54,57 @@ def test_chain_solved_and_plan_validates(strategy):
     assert result.solved
     assert validate_sequential_plan(inst, result.plan.actions)
     assert len(result.plan.actions) == 5
+
+
+def shortest_distance(inst):
+    """Plan length to the goal by level-by-level expansion, or None."""
+    level, seen, depth = {inst.init}, {inst.init}, 0
+    while level:
+        if any(inst.goal.holds_in(state) for state in level):
+            return depth
+        following = set()
+        for state in level:
+            for action in inst.frame.actions:
+                if is_applicable(state, action):
+                    child = successor(state, action)
+                    if child not in seen:
+                        seen.add(child)
+                        following.add(child)
+        level, depth = following, depth + 1
+    return None
+
+
+def random_search_instances(rng, count):
+    """Random classical instances, each followed by the compiled validation
+    instance of a random program and problem, whose plans run longer."""
+    for _ in range(count):
+        frame = random_frame(rng, rng.randint(2, 7), rng.randint(1, 4))
+        yield ClassicalInstance(frame, "t", random_state(rng, frame), random_goal(rng, frame))
+        program, problem, _ = random_validation_case(rng)
+        yield compile_validation(problem, program)
+
+
+def test_bfs_is_blind_best_first_and_finds_shortest_plans():
+    lengths = []
+    unsolvable = 0
+    for inst in random_search_instances(random.Random(29), 100):
+        bfs = solve(inst, BFS_CONFIG)
+        blind = solve(inst, SearchConfig(heuristic=Heuristic.BLIND))
+        assert bfs.status == blind.status
+        assert (bfs.stats.expansions, bfs.stats.generated) == (
+            blind.stats.expansions,
+            blind.stats.generated,
+        )
+        distance = shortest_distance(inst)
+        if bfs.solved:
+            assert bfs.plan.actions == blind.plan.actions
+            assert len(bfs.plan.actions) == distance
+            lengths.append(distance)
+        else:
+            assert bfs.status is SolveStatus.PROVED_UNSOLVABLE
+            assert blind.plan is None and distance is None
+            unsolvable += 1
+    assert unsolvable > 0 and max(lengths) >= 10
 
 
 def test_bfs_proves_unsolvable():
