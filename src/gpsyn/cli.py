@@ -6,8 +6,9 @@ through the compiled encoding), ``eval`` (precision/recall/accuracy over a
 test set), ``export-pddl`` (ground PDDL for external planners).
 
 Exit codes: 0 success, 2 parse/input error, 3 proved unsolvable, 4 resource
-exhausted, 5 internal consistency failure. ``GPSYN_PLANNER_BUDGET`` overrides
-the default expansion budget of ``synth`` and of compiled ``validate``. Every
+exhausted (search budget or interpreter state cap), 5 internal consistency
+failure. ``GPSYN_PLANNER_BUDGET`` overrides the default expansion budget of
+``synth``, of compiled ``validate`` and of ``gen --check-reachability``. Every
 output file gets a deterministic manifest (embedded) and a timestamped sidecar
 ``<output>.manifest.json``.
 """
@@ -32,7 +33,7 @@ from .compiler import (
     decode_trace,
 )
 from .domains import DOMAIN_NAMES, InstanceSpec, build_task
-from .errors import GpsynError, InternalConsistencyError, ParseError
+from .errors import ExecutionResourceError, GpsynError, InternalConsistencyError, ParseError
 from .evaluation import evaluate_test_set, format_metric
 from .interpreter import validate_program
 from .model import Label
@@ -94,6 +95,15 @@ def _search_config(max_expansions=None, **fields) -> SearchConfig:
     return SearchConfig(max_expansions=max_expansions, **fields)
 
 
+def _solve(instance, config: SearchConfig):
+    """``planner.solve``, raising :class:`_BudgetExhausted` when the budget
+    runs out."""
+    result = planner.solve(instance, config)
+    if result.status is SolveStatus.RESOURCE_EXHAUSTED:
+        raise _BudgetExhausted(result.stats)
+    return result
+
+
 def _load_program(path):
     try:
         text = Path(path).read_text()
@@ -125,8 +135,9 @@ def _cmd_gen(args) -> int:
         specs.append(InstanceSpec(size=size, label=label, aux=aux))
     problem = build_task(args.domain, specs)
     if args.check_reachability:
+        config = _search_config(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
         for inst in problem.instances:
-            if not planner.goal_reachable(inst):
+            if not _solve(inst, config).solved:
                 raise InternalConsistencyError(
                     f"generated instance {inst.name!r} has an unreachable goal"
                 )
@@ -177,7 +188,7 @@ def _cmd_synth(args) -> int:
         heuristic=Heuristic(args.heuristic),
         max_seconds=args.max_seconds,
     )
-    result = planner.solve(compiled, config)
+    result = _solve(compiled, config)
     if result.status is SolveStatus.PROVED_UNSOLVABLE:
         print(
             f"no program with {args.lines} lines exists for this instance set "
@@ -185,8 +196,6 @@ def _cmd_synth(args) -> int:
             file=sys.stderr,
         )
         return EXIT_UNSOLVABLE
-    if result.status is SolveStatus.RESOURCE_EXHAUSTED:
-        raise _BudgetExhausted(result.stats)
     decoded = decode_program(result.plan.actions, compiled)
     report = validate_program(decoded.program, problem)
     if not report.passed:
@@ -227,43 +236,38 @@ def _cmd_synth(args) -> int:
 
 # -- validate -------------------------------------------------------------------
 
+def _outcome_row(name: str, label, outcome) -> dict:
+    """One reported outcome, from an interpreter ``ExecutionOutcome`` or a
+    decoded ``TraceOutcome`` (both have these fields)."""
+    return {
+        "instance": name,
+        "label": label.value,
+        "solved": outcome.solved,
+        "failure": outcome.failure.value if outcome.failure else None,
+        "line": outcome.line,
+        "action": outcome.action,
+    }
+
+
 def _direct_outcomes(program, problem):
     report = validate_program(program, problem)
-    outcomes = []
-    for inst, out in zip(problem.instances, report.outcomes):
-        outcomes.append(
-            {
-                "instance": inst.name,
-                "label": inst.label.value,
-                "solved": out.solved,
-                "failure": out.failure.value if out.failure else None,
-                "line": out.line,
-                "action": out.action,
-            }
-        )
+    outcomes = [
+        _outcome_row(inst.name, inst.label, out)
+        for inst, out in zip(problem.instances, report.outcomes)
+    ]
     return report.passed, outcomes
 
 
 def _compiled_outcomes(program, problem):
     compiled = compile_validation(problem, program)
     config = _search_config(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
-    result = planner.solve(compiled, config)
-    if result.status is SolveStatus.RESOURCE_EXHAUSTED:
-        raise _BudgetExhausted(result.stats)
+    result = _solve(compiled, config)
     if not result.solved:
         return False, None
-    outcomes = []
-    for trace in decode_trace(result.plan.actions, compiled):
-        outcomes.append(
-            {
-                "instance": trace.instance_name,
-                "label": compiled.labels[trace.t - 1].value,
-                "solved": trace.solved,
-                "failure": trace.failure.value if trace.failure else None,
-                "line": trace.line,
-                "action": trace.action,
-            }
-        )
+    outcomes = [
+        _outcome_row(trace.instance_name, compiled.labels[trace.t - 1], trace)
+        for trace in decode_trace(result.plan.actions, compiled)
+    ]
     return True, outcomes
 
 
@@ -464,7 +468,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except _BudgetExhausted as exc:
+    except (_BudgetExhausted, ExecutionResourceError) as exc:
         print(exc, file=sys.stderr)
         return EXIT_EXHAUSTED
     except InternalConsistencyError as exc:

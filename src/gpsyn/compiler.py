@@ -14,6 +14,12 @@ Three variants over one builder:
   plus programming actions, with a ``negex`` fluent that forces execution to
   succeed exactly on the positives and fail exactly on the negatives.
 
+The variants differ only in which actions each line gets, so one
+instruction-action loop builds all three. Every action carries a :class:`Role`
+whose ``kind`` is the action-name prefix (``prog``, ``exec``, ``check``,
+``store``, ``compare``, ``process``, ``skip``); the action name is formatted
+from the role alone.
+
 Compiled instances use the same frame/state types as ordinary instances, with
 base fluents keeping their original ids, so the planner runs on them directly
 and solution plans decode back into programs and per-instance outcomes.
@@ -23,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 from .errors import MalformedPlanError, ModelError, VariantMismatchError
 from .interpreter import FailureKind
@@ -55,53 +61,31 @@ class Variant(Enum):
 
 
 @dataclass(frozen=True)
-class ProgramRole:
-    """Programming action: writes ``instruction`` onto line ``line``."""
+class Role:
+    """What a compiled action does; ``kind`` is its action-name prefix.
 
-    line: int
-    instruction: Instruction
+    ``prog`` writes ``instruction`` onto ``line``, ``check`` tests the
+    instruction's precondition before ``exec`` executes it, ``store``,
+    ``compare`` and ``process`` make up the loop-detection gadget, and
+    ``skip`` ends an instance on a detected failure. ``t`` is the instance of
+    an ``end`` copy or of a ``skip``.
+    """
+
+    kind: str
+    line: int | None = None
+    instruction: Instruction | None = None
     t: int | None = None
 
+    @property
+    def name(self) -> str:
+        """The action name, e.g. ``exec__end__l2__t1``, ``skip__t3``, ``store``."""
+        parts = [self.kind]
+        if self.instruction is not None:
+            parts += [instruction_slug(self.instruction), f"l{self.line}"]
+        if self.t is not None:
+            parts.append(f"t{self.t}")
+        return "__".join(parts)
 
-@dataclass(frozen=True)
-class ExecRole:
-    """Execution action for ``instruction`` on ``line`` (``t`` set for end)."""
-
-    line: int
-    instruction: Instruction
-    t: int | None = None
-
-
-@dataclass(frozen=True)
-class CheckRole:
-    """Check action: tests the instruction's precondition before execution."""
-
-    line: int
-    instruction: Instruction
-    t: int | None = None
-
-
-@dataclass(frozen=True)
-class StoreRole:
-    pass
-
-
-@dataclass(frozen=True)
-class CompareRole:
-    pass
-
-
-@dataclass(frozen=True)
-class ProcessRole:
-    pass
-
-
-@dataclass(frozen=True)
-class SkipRole:
-    t: int
-
-
-Role = Union[ProgramRole, ExecRole, CheckRole, StoreRole, CompareRole, ProcessRole, SkipRole]
 
 _FLAGS = ("checked", "holds", "stored", "acted", "loop")
 
@@ -197,20 +181,14 @@ class _Builder:
 
     def _line_universe(self, i: int) -> list[Instruction]:
         """Instructions that may occupy line ``i`` (the fluent family)."""
-        out: list[Instruction] = []
-        for act in self.base.actions:
-            ins = ActInstruction(act.name)
-            if self.whitelist is None or ins in self.whitelist:
-                out.append(ins)
-        for target in range(self.n + 1):
-            if not self.allow_forward and target >= i:
-                continue
-            for fl in self.base.fluents:
-                ins = GotoInstruction(target, fl.name)
-                if self.whitelist is None or ins in self.whitelist:
-                    out.append(ins)
-        out.append(EndInstruction())
-        return out
+        targets = range(self.n + 1) if self.allow_forward else range(i)
+        out = [ActInstruction(act.name) for act in self.base.actions]
+        out += [
+            GotoInstruction(target, fl.name) for target in targets for fl in self.base.fluents
+        ]
+        if self.whitelist is not None:
+            out = [ins for ins in out if ins in self.whitelist]
+        return out + [EndInstruction()]
 
     def build_fluents(self) -> None:
         for fl in self.base.fluents:
@@ -312,17 +290,15 @@ class _Builder:
 
     # -- action constructors ------------------------------------------------
 
-    def _add_action(self, name: str, pre: LiteralSet, cond, role: Role) -> None:
+    def _add_action(self, role: Role, pre: LiteralSet, cond) -> None:
         effects = tuple(ConditionalEffect(c, e) for c, e in cond if e)
-        self.actions.append(Action(name, pre, effects))
+        self.actions.append(Action(role.name, pre, effects))
         self.roles.append(role)
 
     def _prog_action(self, ins: Instruction, i: int, t: int | None) -> None:
         pre = self._pre_of(ins, t).union(self._ls(pos=[self.pc[i], self.nil[i]]))
         eff = self._ls(pos=[self.ins[i][ins]], neg=[self.nil[i]])
-        slug = instruction_slug(ins)
-        name = f"prog__{slug}__l{i}" + (f"__t{t}" if t is not None else "")
-        self._add_action(name, pre, [(LiteralSet(), eff)], ProgramRole(i, ins, t))
+        self._add_action(Role("prog", i, ins, t), pre, [(LiteralSet(), eff)])
 
     def _exec_action(self, ins: Instruction, i: int, t: int | None) -> None:
         pre = self._pre_of(ins, t).union(self._ls(pos=[self.pc[i], self.ins[i][ins]]))
@@ -355,13 +331,8 @@ class _Builder:
         else:
             if self.with_negex:
                 pre = pre.union(self._ls(neg=[self.negex]))
-            eff = self._end_effects(t)
-            if self.with_gadget and t < self.T:
-                eff = eff.union(self._ls(neg=[self.flag["checked"], self.flag["holds"]]))
-            cond.append((LiteralSet(), eff))
-        slug = instruction_slug(ins)
-        name = f"exec__{slug}__l{i}" + (f"__t{t}" if t is not None else "")
-        self._add_action(name, pre, cond, ExecRole(i, ins, t))
+            cond.append((LiteralSet(), self._end_effects(t)))
+        self._add_action(Role("exec", i, ins, t), pre, cond)
 
     def _check_action(self, ins: Instruction, i: int, t: int | None) -> None:
         pre = self._ls(
@@ -381,9 +352,7 @@ class _Builder:
             cond = [(LiteralSet(), checked), (w_pre, holds)]
         else:
             cond = [(LiteralSet(), checked.union(holds))]
-        slug = instruction_slug(ins)
-        name = f"check__{slug}__l{i}" + (f"__t{t}" if t is not None else "")
-        self._add_action(name, pre, cond, CheckRole(i, ins, t))
+        self._add_action(Role("check", i, ins, t), pre, cond)
 
     def _gadget_actions(self) -> None:
         negex_pre = self._ls(pos=[self.negex]) if self.with_negex else LiteralSet()
@@ -393,7 +362,7 @@ class _Builder:
         cond += [
             (self._ls(pos=[f]), self._ls(pos=[self.copy[f]])) for f in self.watched
         ]
-        self._add_action("store", pre.union(negex_pre), cond, StoreRole())
+        self._add_action(Role("store"), pre.union(negex_pre), cond)
 
         pre = self._ls(
             pos=[flag["stored"], flag["acted"]], neg=[flag["checked"], flag["loop"]]
@@ -409,11 +378,11 @@ class _Builder:
             ok = self._ls(pos=[self.correct[f]])
             cond.append((self._ls(pos=[f, cf]), ok))
             cond.append((self._ls(neg=[f, cf]), ok))
-        self._add_action("compare", pre.union(negex_pre), cond, CompareRole())
+        self._add_action(Role("compare"), pre.union(negex_pre), cond)
 
         pre = self._ls(pos=[flag["loop"]] + [self.correct[f] for f in self.watched])
         cond = [(LiteralSet(), self._ls(pos=[flag["checked"]], neg=[flag["loop"]]))]
-        self._add_action("process", pre.union(negex_pre), cond, ProcessRole())
+        self._add_action(Role("process"), pre.union(negex_pre), cond)
 
     def _skip_action(self, t: int) -> None:
         flag = self.flag
@@ -428,8 +397,7 @@ class _Builder:
             + [self.copy[f] for f in self.watched]
             + [self.correct[f] for f in self.watched]
         )
-        eff = LiteralSet(eff.pos | clear.pos, eff.neg | clear.neg)
-        self._add_action(f"skip__t{t}", pre, [(LiteralSet(), eff)], SkipRole(t))
+        self._add_action(Role("skip", t=t), pre, [(LiteralSet(), eff.union(clear))])
 
     # -- variants -----------------------------------------------------------
 
@@ -441,73 +409,54 @@ class _Builder:
             return [ins for ins in self.line_universe[i] if isinstance(ins, EndInstruction)]
         return self.line_universe[i]
 
-    def _instruction_actions(self, *, programming: bool, checks: bool) -> None:
+    def _instruction_actions(self) -> None:
+        """Every line's instruction actions, for all three variants: the
+        programmable instructions when synthesizing, the program's own
+        instruction when validating. Each gets a programming action
+        (synthesis), a check action (with the gadget) and an execution
+        action; ``end`` gets one copy of each per instance."""
+        programming = self.program is None
         for i in range(self.n + 1):
-            for ins in self._programmable(i):
-                if isinstance(ins, EndInstruction):
-                    for t in range(1, self.T + 1):
-                        if programming:
-                            self._prog_action(ins, i, t)
-                        if checks:
-                            self._check_action(ins, i, t)
-                        self._exec_action(ins, i, t)
-                else:
-                    if programming:
-                        self._prog_action(ins, i, None)
-                    if checks:
-                        self._check_action(ins, i, None)
-                    self._exec_action(ins, i, None)
-
-    def _validation_actions(self) -> None:
-        for i, ins in enumerate(self.program.lines):
-            if isinstance(ins, EndInstruction):
-                for t in range(1, self.T + 1):
-                    self._check_action(ins, i, t)
-                    # Ending an instance positively is only legal on positives;
-                    # negatives must leave via skip. This is what makes
-                    # solvability coincide with validation.
-                    if self.gp.instances[t - 1].is_positive:
-                        self._exec_action(ins, i, t)
-            else:
+            line = self._programmable(i) if programming else self.program.lines[i : i + 1]
+            for ins in line:
                 if ins not in self.ins[i]:
                     raise ModelError(
                         f"program line {i} ({instruction_slug(ins)}) not expressible "
                         "in the compiled instruction set"
                     )
-                self._check_action(ins, i, None)
-                self._exec_action(ins, i, None)
+                copies = range(1, self.T + 1) if isinstance(ins, EndInstruction) else (None,)
+                for t in copies:
+                    if programming:
+                        self._prog_action(ins, i, t)
+                    if self.with_gadget:
+                        self._check_action(ins, i, t)
+                    # In validation, ending an instance positively is only
+                    # legal on positives; negatives must leave via skip. This
+                    # is what makes solvability coincide with validation.
+                    if programming or t is None or self.gp.instances[t - 1].is_positive:
+                        self._exec_action(ins, i, t)
 
     def _init_state(self) -> State:
         bits = self.gp.instances[0].init.bits
         bits |= 1 << self.pc[0]
         bits |= 1 << self.test[0]
-        if self.program is None:
-            for i in range(self.n + 1):
-                bits |= 1 << self.nil[i]
-        else:
-            for i, ins in enumerate(self.program.lines):
-                bits |= 1 << self.ins[i][ins]
-            for i in range(len(self.program.lines), self.n + 1):
-                bits |= 1 << self.nil[i]
+        written = () if self.program is None else self.program.lines
+        for i, ins in enumerate(written):
+            bits |= 1 << self.ins[i][ins]
+        for i in range(len(written), self.n + 1):
+            bits |= 1 << self.nil[i]
         if self.with_negex and self.gp.instances[0].label is Label.NEGATIVE:
             bits |= 1 << self.negex
         return State(bits, len(self.fluents))
 
     def build(self) -> CompiledInstance:
         self.build_fluents()
-        if self.variant is Variant.SYNTH_POSITIVE:
-            self._instruction_actions(programming=True, checks=False)
-        elif self.variant is Variant.VALIDATION:
-            self._validation_actions()
+        self._instruction_actions()
+        if self.with_gadget:
             self._gadget_actions()
             for t in range(1, self.T + 1):
-                if not self.gp.instances[t - 1].is_positive:
+                if self.with_negex or not self.gp.instances[t - 1].is_positive:
                     self._skip_action(t)
-        else:
-            self._instruction_actions(programming=True, checks=True)
-            self._gadget_actions()
-            for t in range(1, self.T + 1):
-                self._skip_action(t)
         frame = Frame(tuple(self.fluents), tuple(self.actions))
         return CompiledInstance(
             frame=frame,
@@ -584,7 +533,7 @@ def decode_program(plan: Sequence[int], compiled: CompiledInstance) -> DecodedPr
     lines: dict[int, Instruction] = {}
     for idx in plan:
         role = compiled.roles[idx]
-        if isinstance(role, ProgramRole):
+        if role.kind == "prog":
             if role.line in lines:
                 raise MalformedPlanError(
                     f"two programming actions for line {role.line}"
@@ -612,14 +561,14 @@ def decode_trace(plan: Sequence[int], compiled: CompiledInstance) -> tuple[Trace
     prev: Role | None = None
     for idx in plan:
         role = compiled.roles[idx]
-        if isinstance(role, ExecRole) and isinstance(role.instruction, EndInstruction):
+        if role.kind == "exec" and isinstance(role.instruction, EndInstruction):
             if role.t != t:
                 raise MalformedPlanError(f"end for instance {role.t} while running {t}")
             outcomes.append(
                 TraceOutcome(t, compiled.instance_names[t - 1], solved=True)
             )
             t += 1
-        elif isinstance(role, SkipRole):
+        elif role.kind == "skip":
             if role.t != t:
                 raise MalformedPlanError(f"skip for instance {role.t} while running {t}")
             outcomes.append(_failure_from(prev, t, compiled))
@@ -634,9 +583,9 @@ def decode_trace(plan: Sequence[int], compiled: CompiledInstance) -> tuple[Trace
 
 def _failure_from(prev: Role | None, t: int, compiled: CompiledInstance) -> TraceOutcome:
     name = compiled.instance_names[t - 1]
-    if isinstance(prev, ProcessRole):
+    if prev is not None and prev.kind == "process":
         return TraceOutcome(t, name, solved=False, failure=FailureKind.INFINITE_LOOP)
-    if isinstance(prev, CheckRole):
+    if prev is not None and prev.kind == "check":
         if isinstance(prev.instruction, EndInstruction):
             return TraceOutcome(t, name, solved=False, failure=FailureKind.INCOMPLETE)
         if isinstance(prev.instruction, ActInstruction):

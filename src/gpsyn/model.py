@@ -114,9 +114,6 @@ class LiteralSet:
         return f"LiteralSet(pos={self.pos:#x}, neg={self.neg:#x})"
 
 
-EMPTY = LiteralSet()
-
-
 class State:
     """A total assignment over a frame's fluents, as a width-checked bitmask."""
 

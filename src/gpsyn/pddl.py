@@ -4,8 +4,8 @@ Output is fully ground: every fluent becomes a 0-ary predicate, every action
 a parameterless action. Requirements are ``:strips :negative-preconditions
 :conditional-effects``. The reader accepts exactly this fragment, so anything
 the writer emits round-trips; action and fluent names are preserved verbatim
-(compiled action names embed their decode role, which therefore survives the
-round-trip).
+(a compiled action's name is its decode role's ``Role.name``, which therefore
+survives the round-trip).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gpsyn
-from gpsyn import jsonio
+from gpsyn import evaluation, interpreter, jsonio
 from gpsyn.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -76,6 +76,13 @@ class TestGen:
         code = main(["gen", "robopainter", "--size", "2", "--label", "negative",
                      "--check-reachability", "--out", str(out)])
         assert code == EXIT_OK
+
+    def test_env_budget_reaches_check_reachability(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GPSYN_PLANNER_BUDGET", "1")
+        code = main(["gen", "robopainter", "--size", "8", "--check-reachability",
+                     "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_EXHAUSTED
+        assert "search budget exhausted after 1 expansions" in capsys.readouterr().err
 
 
 class TestSynth:
@@ -255,6 +262,19 @@ class TestValidate:
         code = main(["validate", "--problem", str(problem), "--program", str(program),
                      "--mode", "both"])
         assert code == EXIT_INCONSISTENT
+
+
+@pytest.mark.parametrize("command", ["validate", "eval"])
+def test_interpreter_state_cap_is_exhaustion(command, trisum_problem, tmp_path,
+                                             monkeypatch, capsys):
+    program = tmp_path / "p.txt"
+    program.write_text("0. add_b_to_a\n1. goto(0,!zero_b)\n2. end\n")
+    monkeypatch.setitem(interpreter.validate_program.__kwdefaults__, "state_cap", 2)
+    monkeypatch.setitem(evaluation.evaluate_test_set.__kwdefaults__, "state_cap", 2)
+    problem_flag = "--problem" if command == "validate" else "--testset"
+    argv = [command, problem_flag, str(trisum_problem), "--program", str(program)]
+    assert main(argv) == EXIT_EXHAUSTED
+    assert "visited-state cap 2 exceeded" in capsys.readouterr().err
 
 
 class TestEval:

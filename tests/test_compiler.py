@@ -4,10 +4,6 @@ import pytest
 
 from gpsyn import planner
 from gpsyn.compiler import (
-    CheckRole,
-    ExecRole,
-    ProgramRole,
-    SkipRole,
     compile_synthesis_pn,
     compile_synthesis_positive,
     compile_validation,
@@ -96,6 +92,63 @@ class TestStructure:
         compiled = compile_synthesis_pn(corridor_task, 2)
         assert len(compiled.roles) == len(compiled.frame.actions)
 
+    def test_action_names_come_from_roles(self, corridor_task, loop_after_body_program):
+        for compiled in (
+            compile_synthesis_positive(tiny_problem(), 2),
+            compile_validation(corridor_task, loop_after_body_program),
+            compile_synthesis_pn(corridor_task, 2),
+        ):
+            assert len(compiled.roles) == len(compiled.frame.actions)
+            for i, act in enumerate(compiled.frame.actions):
+                assert act.name == compiled.roles[i].name
+
+    def test_action_order_is_pinned(self):
+        # Action order fixes which plan BFS and GBFS find, so a change to the
+        # builder must keep these lists.
+        problem = tiny_problem()
+        frame = problem.frame
+        neg = ClassicalInstance(
+            frame, "neg", frame.state([]), frame.literal_set("q"), Label.NEGATIVE
+        )
+        with_neg = GeneralizedProblem(frame, problem.instances + (neg,))
+        program = parse_program("0. set_p\n1. end\n")
+
+        def names(compiled):
+            return [act.name for act in compiled.frame.actions]
+
+        assert names(compile_synthesis_positive(problem, 1)) == [
+            "prog__set_p__l0", "exec__set_p__l0",
+            "prog__goto_0_p__l0", "exec__goto_0_p__l0",
+            "prog__goto_0_q__l0", "exec__goto_0_q__l0",
+            "prog__goto_1_p__l0", "exec__goto_1_p__l0",
+            "prog__goto_1_q__l0", "exec__goto_1_q__l0",
+            "prog__end__l0__t1", "exec__end__l0__t1",
+            "prog__end__l1__t1", "exec__end__l1__t1",
+        ]
+        assert names(compile_synthesis_pn(with_neg, 1)) == [
+            "prog__set_p__l0", "check__set_p__l0", "exec__set_p__l0",
+            "prog__goto_0_p__l0", "check__goto_0_p__l0", "exec__goto_0_p__l0",
+            "prog__goto_0_q__l0", "check__goto_0_q__l0", "exec__goto_0_q__l0",
+            "prog__goto_1_p__l0", "check__goto_1_p__l0", "exec__goto_1_p__l0",
+            "prog__goto_1_q__l0", "check__goto_1_q__l0", "exec__goto_1_q__l0",
+            "prog__end__l0__t1", "check__end__l0__t1", "exec__end__l0__t1",
+            "prog__end__l0__t2", "check__end__l0__t2", "exec__end__l0__t2",
+            "prog__end__l1__t1", "check__end__l1__t1", "exec__end__l1__t1",
+            "prog__end__l1__t2", "check__end__l1__t2", "exec__end__l1__t2",
+            "store", "compare", "process", "skip__t1", "skip__t2",
+        ]
+        assert names(compile_validation(problem, program)) == [
+            "check__set_p__l0", "exec__set_p__l0",
+            "check__end__l1__t1", "exec__end__l1__t1",
+            "store", "compare", "process",
+        ]
+        # A negative gets an end check but no end execution, and a skip.
+        assert names(compile_validation(with_neg, program)) == [
+            "check__set_p__l0", "exec__set_p__l0",
+            "check__end__l1__t1", "exec__end__l1__t1", "check__end__l1__t2",
+            "store", "compare", "process", "skip__t2",
+        ]
+
     def test_forward_goto_pruning_shrinks_ins_family(self, corridor_task):
         full = compile_synthesis_pn(corridor_task, 2)
         pruned = compile_synthesis_pn(corridor_task, 2, allow_forward_gotos=False)
@@ -105,7 +158,7 @@ class TestStructure:
         problem = tiny_problem()
         alphabet = [ActInstruction("set_p"), GotoInstruction(0, "p"), EndInstruction()]
         compiled = compile_synthesis_pn(problem, 2, instruction_whitelist=alphabet)
-        prog_roles = [r for r in compiled.roles if isinstance(r, ProgramRole)]
+        prog_roles = [r for r in compiled.roles if r.kind == "prog"]
         assert {r.instruction for r in prog_roles} <= set(alphabet)
 
     def test_negex_only_in_pn_variant(self, corridor_task, loop_after_body_program):
@@ -116,7 +169,7 @@ class TestStructure:
     def test_line_n_only_programs_end(self):
         compiled = compile_synthesis_pn(tiny_problem(), 2)
         last_line = [
-            r for r in compiled.roles if isinstance(r, ProgramRole) and r.line == 2
+            r for r in compiled.roles if r.kind == "prog" and r.line == 2
         ]
         assert last_line and all(
             isinstance(r.instruction, EndInstruction) for r in last_line
@@ -134,7 +187,7 @@ class TestSynthesisPositive:
         result = solve(compiled, BFS_CONFIG)
         assert result.solved and len(result.plan.actions) == 2
         roles = [compiled.roles[i] for i in result.plan.actions]
-        assert isinstance(roles[0], ProgramRole) and isinstance(roles[1], ExecRole)
+        assert roles[0].kind == "prog" and roles[1].kind == "exec"
         # semantically "0. end": the unprogrammed line 1 decodes as end too
         assert decode_program(result.plan.actions, compiled).program == parse_program(
             "0. end\n1. end\n"
@@ -159,10 +212,10 @@ class TestValidation:
         result = solve(compiled, BFS_CONFIG)
         assert result.solved
         roles = [compiled.roles[i] for i in result.plan.actions]
-        skip_pos = next(i for i, r in enumerate(roles) if isinstance(r, SkipRole))
+        skip_pos = next(i for i, r in enumerate(roles) if r.kind == "skip")
         assert roles[skip_pos].t == 3
         before = roles[skip_pos - 1]
-        assert isinstance(before, CheckRole) and isinstance(before.instruction, EndInstruction)
+        assert before.kind == "check" and isinstance(before.instruction, EndInstruction)
 
     def test_end_program_on_satisfied_positive(self):
         problem = tiny_problem(goal_texts=("!p",))
@@ -170,7 +223,7 @@ class TestValidation:
         result = solve(compiled, BFS_CONFIG)
         assert result.solved
         roles = [compiled.roles[i] for i in result.plan.actions]
-        assert isinstance(roles[0], CheckRole) and isinstance(roles[1], ExecRole)
+        assert roles[0].kind == "check" and roles[1].kind == "exec"
 
     @pytest.mark.parametrize("label,expect_solvable", [
         (Label.NEGATIVE, True),
@@ -217,9 +270,9 @@ class TestSynthesisPN:
         negex = compiled.frame.fluent_id("negex")
         for idx, role in enumerate(compiled.roles):
             act = compiled.frame.actions[idx]
-            if isinstance(role, ExecRole) and isinstance(role.instruction, EndInstruction):
+            if role.kind == "exec" and isinstance(role.instruction, EndInstruction):
                 assert act.pre.neg >> negex & 1
-            if isinstance(role, SkipRole):
+            if role.kind == "skip":
                 assert act.pre.pos >> negex & 1
 
     def test_negex_gates_loop_gadget(self, corridor_task):
@@ -260,12 +313,12 @@ class TestDecodeProgram:
         compiled = compile_synthesis_pn(corridor_task, 2)
         prog_paint = next(
             i for i, r in enumerate(compiled.roles)
-            if isinstance(r, ProgramRole) and r.line == 0
+            if r.kind == "prog" and r.line == 0
             and r.instruction == ActInstruction("paint")
         )
         prog_goto = next(
             i for i, r in enumerate(compiled.roles)
-            if isinstance(r, ProgramRole) and r.line == 1
+            if r.kind == "prog" and r.line == 1
             and r.instruction == GotoInstruction(0, "at_end")
         )
         decoded = decode_program([prog_paint, prog_goto], compiled)
@@ -274,7 +327,7 @@ class TestDecodeProgram:
 
     def test_duplicate_programming_is_malformed(self, corridor_task):
         compiled = compile_synthesis_pn(corridor_task, 2)
-        idx = next(i for i, r in enumerate(compiled.roles) if isinstance(r, ProgramRole))
+        idx = next(i for i, r in enumerate(compiled.roles) if r.kind == "prog")
         with pytest.raises(MalformedPlanError):
             decode_program([idx, idx], compiled)
 

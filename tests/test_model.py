@@ -104,11 +104,11 @@ class TestTriggeredEffects:
     def test_compiled_compare_sets_correct_flag(self, corridor_task, loop_after_body_program):
         # One compare step traced by hand: a fluent true in both the current
         # state and the stored copy must come out marked correct.
-        from gpsyn.compiler import CompareRole, compile_validation
+        from gpsyn.compiler import compile_validation
 
         compiled = compile_validation(corridor_task, loop_after_body_program)
         compare_idx = next(
-            i for i, r in enumerate(compiled.roles) if isinstance(r, CompareRole)
+            i for i, r in enumerate(compiled.roles) if r.kind == "compare"
         )
         compare = compiled.frame.actions[compare_idx]
         f = compiled.frame.fluent_id("at_1")
