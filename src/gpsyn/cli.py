@@ -21,6 +21,7 @@ import os
 import random
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -83,16 +84,19 @@ class _BudgetExhausted(Exception):
         )
 
 
-def _search_config(max_expansions=None, **fields) -> SearchConfig:
-    """A search config whose expansion budget, when not given, comes from
+def _search_config(args, **fields) -> SearchConfig:
+    """A search config with the ``--max-expansions`` / ``--max-seconds``
+    budget of ``args``; an expansion budget not given there comes from
     ``GPSYN_PLANNER_BUDGET``."""
+    max_expansions = getattr(args, "max_expansions", None)
     text = os.environ.get(_BUDGET_ENV)
     if max_expansions is None and text:
         try:
             max_expansions = int(text)
         except ValueError:
             raise ParseError(f"{_BUDGET_ENV} must be an integer, got {text!r}") from None
-    return SearchConfig(max_expansions=max_expansions, **fields)
+    max_seconds = getattr(args, "max_seconds", None)
+    return SearchConfig(max_expansions=max_expansions, max_seconds=max_seconds, **fields)
 
 
 def _solve(instance, config: SearchConfig):
@@ -135,7 +139,7 @@ def _cmd_gen(args) -> int:
         specs.append(InstanceSpec(size=size, label=label, aux=aux))
     problem = build_task(args.domain, specs)
     if args.check_reachability:
-        config = _search_config(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
+        config = _search_config(args, strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
         for inst in problem.instances:
             if not _solve(inst, config).solved:
                 raise InternalConsistencyError(
@@ -183,10 +187,7 @@ def _cmd_synth(args) -> int:
             problem, args.lines, allow_forward_gotos=not args.backward_gotos_only
         )
     config = _search_config(
-        args.max_expansions,
-        strategy=Strategy(args.strategy),
-        heuristic=Heuristic(args.heuristic),
-        max_seconds=args.max_seconds,
+        args, strategy=Strategy(args.strategy), heuristic=Heuristic(args.heuristic)
     )
     result = _solve(compiled, config)
     if result.status is SolveStatus.PROVED_UNSOLVABLE:
@@ -224,8 +225,7 @@ def _cmd_synth(args) -> int:
         {
             "program": format_program(decoded.program),
             "written": str(out),
-            "expansions": result.stats.expansions,
-            "elapsed": result.stats.elapsed,
+            **asdict(result.stats),
         },
         f"synthesized program ({result.stats.expansions} expansions, "
         f"{result.stats.elapsed:.1f}s), interpreter-verified, written to {out}\n"
@@ -258,9 +258,9 @@ def _direct_outcomes(program, problem):
     return report.passed, outcomes
 
 
-def _compiled_outcomes(program, problem):
+def _compiled_outcomes(program, problem, args):
     compiled = compile_validation(problem, program)
-    config = _search_config(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
+    config = _search_config(args, strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
     result = _solve(compiled, config)
     if not result.solved:
         return False, None
@@ -289,7 +289,7 @@ def _cmd_validate(args) -> int:
         passed, outcomes = _direct_outcomes(program, problem)
         payload["direct"] = {"passed": passed, "outcomes": outcomes}
     if args.mode in ("compiled", "both"):
-        passed, outcomes = _compiled_outcomes(program, problem)
+        passed, outcomes = _compiled_outcomes(program, problem, args)
         payload["compiled"] = {"passed": passed, "outcomes": outcomes}
     if args.mode == "both":
         d, c = payload["direct"], payload["compiled"]
@@ -438,6 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--problem", required=True)
     p.add_argument("--program", required=True)
     p.add_argument("--mode", choices=["direct", "compiled", "both"], default="direct")
+    p.add_argument("--max-expansions", type=int, default=None)
+    p.add_argument("--max-seconds", type=float, default=600.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_validate)
 

@@ -57,8 +57,13 @@ BFS_CONFIG = SearchConfig(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
 
 @dataclass(frozen=True)
 class SearchStats:
+    """``evaluations`` and ``dead_ends`` (pruned at h = ∞) count generated
+    states; the start state is evaluated too, but it is not generated."""
+
     expansions: int
     generated: int
+    evaluations: int
+    dead_ends: int
     elapsed: float
 
 
@@ -89,85 +94,76 @@ class SolveResult:
 
 class _HAdd:
     """Additive heuristic over literals, with conditional effects split into
-    one relaxed operator per effect branch (precondition ∪ condition)."""
+    one relaxed operator per effect branch (precondition ∪ condition).
+
+    Costs are integers, so ``value`` settles literals in increasing cost
+    through one list per cost (Dial's buckets) rather than a binary heap. The
+    state's own literals hold at cost 0 and are settled first, with no queue:
+    they only count down the unmet preconditions of their consumers. An
+    operator's cost, 1 + the sum of its precondition costs, is summed when
+    its last precondition settles."""
 
     def __init__(self, frame, goal):
-        width = frame.width
-        self.n_props = 2 * width
-        self.width = width
-        op_pre: list[list[int]] = []
-        op_add: list[list[int]] = []
+        self.width = frame.width
+        self.op_pre, self.op_add = [], []
         for act in frame.actions:
             for cpos, cneg, epos, eneg in act.branches:
                 # the mask union counts a literal shared by precondition and
                 # condition once
-                op_pre.append(_lits(act.pre.pos | cpos, act.pre.neg | cneg))
-                op_add.append(_lits(epos, eneg))
-        self.op_pre = op_pre
-        self.op_add = op_add
-        self.pre_counts = [len(p) for p in op_pre]
-        consumers: list[list[int]] = [[] for _ in range(self.n_props)]
-        for o, pre in enumerate(op_pre):
+                self.op_pre.append(_lits(act.pre.pos | cpos, act.pre.neg | cneg))
+                self.op_add.append(_lits(epos, eneg))
+        self.pre_counts = [len(p) for p in self.op_pre]
+        self.consumers = [[] for _ in range(2 * frame.width)]
+        for o, pre in enumerate(self.op_pre):
             for p in pre:
-                consumers[p].append(o)
-        self.consumers = consumers
+                self.consumers[p].append(o)
         self.goal_lits = _lits(goal.pos, goal.neg)
+        self.goal_set = frozenset(self.goal_lits)
 
     def value(self, bits: int) -> float:
-        width = self.width
-        cost = [INF] * self.n_props
-        heap = []
-        for f in range(width):
-            lit = 2 * f + (0 if bits >> f & 1 else 1)
-            cost[lit] = 0
-            heap.append((0, lit))
-        heapq.heapify(heap)
+        cost = [INF] * (2 * self.width)
         unsat = self.pre_counts[:]
-        acc = [1] * len(self.op_pre)
-        goal_left = 0
-        for g in self.goal_lits:
-            if cost[g] != 0:
-                goal_left += 1
-        # Operators with no preconditions fire immediately at cost 1.
-        if goal_left:
-            for o, cnt in enumerate(unsat):
-                if cnt == 0:
-                    for q in self.op_add[o]:
-                        if cost[q] > 1:
-                            cost[q] = 1
-                            heapq.heappush(heap, (1, q))
         consumers = self.consumers
-        op_add = self.op_add
-        pop = heapq.heappop
-        push = heapq.heappush
-        done = [False] * self.n_props
-        goal_set = set(self.goal_lits)
-        while heap and goal_left:
-            c, p = pop(heap)
-            if done[p]:
-                continue
-            done[p] = True
-            if p in goal_set and c > 0:
-                goal_left -= 1
-                if not goal_left:
-                    break
-            for o in consumers[p]:
+        # Character f of the reversed bit string is fluent f.
+        for f, ch in zip(range(self.width), f"{bits:0{self.width}b}"[::-1]):
+            lit = 2 * f + (ch == "0")
+            cost[lit] = 0
+            for o in consumers[lit]:
                 unsat[o] -= 1
-                acc[o] += c
-                if unsat[o] == 0:
-                    oc = acc[o]
-                    for q in op_add[o]:
-                        if oc < cost[q]:
-                            cost[q] = oc
-                            push(heap, (oc, q))
-        total = 0
-        for g in self.goal_lits:
-            cg = cost[g]
-            if cg == INF:
-                total = INF
-                break
-            total += cg
-        return total
+        goal_left = sum(1 for g in self.goal_lits if cost[g])
+        if not goal_left:
+            return 0
+        op_pre, op_add, goal_set = self.op_pre, self.op_add, self.goal_set
+        # Operators whose preconditions all hold fire at cost 1.
+        buckets = {1: []}
+        o = -1
+        for _ in range(unsat.count(0)):
+            o = unsat.index(0, o + 1)
+            for q in op_add[o]:
+                if cost[q] > 1:
+                    cost[q] = 1
+                    buckets[1].append(q)
+        get_cost = cost.__getitem__
+        c = 1
+        while buckets:
+            for p in buckets.pop(c, ()):
+                if cost[p] != c:
+                    continue  # stale: settled earlier at a lower cost
+                if p in goal_set:
+                    goal_left -= 1
+                    if not goal_left:
+                        return sum(map(get_cost, self.goal_lits))
+                for o in consumers[p]:
+                    n = unsat[o] - 1
+                    unsat[o] = n
+                    if not n:
+                        oc = 1 + sum(map(get_cost, op_pre[o]))
+                        for q in op_add[o]:
+                            if oc < cost[q]:
+                                cost[q] = oc
+                                buckets.setdefault(oc, []).append(q)
+            c += 1
+        return INF
 
 
 def _lits(pos: int, neg: int) -> list[int]:
@@ -212,19 +208,18 @@ def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
 def _out_of_budget(config, expansions, t0) -> bool:
     if config.max_expansions is not None and expansions >= config.max_expansions:
         return True
-    if (
+    return (
         config.max_seconds is not None
         and expansions % 256 == 0
         and time.monotonic() - t0 > config.max_seconds
-    ):
-        return True
-    return False
+    )
 
 
-def _finish(status, t0, expansions, generated, parents=None, goal_bits=None):
+def _finish(status, t0, counts=(0, 0, 0, 0), parents=None, goal_bits=None):
     """The search result, with the plan to ``goal_bits`` read back from
-    ``parents`` when the search reached the goal."""
-    stats = SearchStats(expansions, generated, time.monotonic() - t0)
+    ``parents`` when the search reached the goal. ``counts`` are the first
+    four fields of :class:`SearchStats`."""
+    stats = SearchStats(*counts, time.monotonic() - t0)
     if goal_bits is None:
         return SolveResult(status, None, stats)
     actions = []
@@ -240,16 +235,17 @@ def _search(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
     h values that have one, so a constant evaluator makes this plain BFS."""
     parents = {start_bits: None}
     if is_goal(start_bits):
-        return _finish(SolveStatus.SOLVED, t0, 0, 0, parents, start_bits)
+        return _finish(SolveStatus.SOLVED, t0, parents=parents, goal_bits=start_bits)
     h0 = evaluator(start_bits)
     if h0 == INF:
-        return _finish(SolveStatus.PROVED_UNSOLVABLE, t0, 0, 0)
+        return _finish(SolveStatus.PROVED_UNSOLVABLE, t0)
     buckets = {h0: deque([start_bits])}
     open_hs = [h0]
-    expansions = generated = 0
+    expansions = generated = evaluations = dead_ends = 0
     while open_hs:
         if _out_of_budget(config, expansions, t0):
-            return _finish(SolveStatus.RESOURCE_EXHAUSTED, t0, expansions, generated)
+            counts = (expansions, generated, evaluations, dead_ends)
+            return _finish(SolveStatus.RESOURCE_EXHAUSTED, t0, counts)
         bucket = buckets[open_hs[0]]
         bits = bucket.popleft()
         if not bucket:
@@ -264,11 +260,12 @@ def _search(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
             parents[child] = (bits, idx)
             generated += 1
             if is_goal(child):
-                return _finish(
-                    SolveStatus.SOLVED, t0, expansions, generated, parents, child
-                )
+                counts = (expansions, generated, evaluations, dead_ends)
+                return _finish(SolveStatus.SOLVED, t0, counts, parents, child)
             h = evaluator(child)
+            evaluations += 1
             if h == INF:
+                dead_ends += 1
                 continue  # safe pruning: relaxed-unreachable implies unreachable
             bucket = buckets.get(h)
             if bucket is None:
@@ -277,7 +274,8 @@ def _search(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
             else:
                 bucket.append(child)
     # Full duplicate detection plus safe pruning: an exhausted open list is a proof.
-    return _finish(SolveStatus.PROVED_UNSOLVABLE, t0, expansions, generated)
+    counts = (expansions, generated, evaluations, dead_ends)
+    return _finish(SolveStatus.PROVED_UNSOLVABLE, t0, counts)
 
 
 def goal_reachable(instance, config: SearchConfig = BFS_CONFIG) -> bool:

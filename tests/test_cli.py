@@ -13,6 +13,8 @@ from gpsyn.cli import (
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSOLVABLE,
+    _build_parser,
+    _search_config,
     main,
 )
 from gpsyn.domains import InstanceSpec, build_task
@@ -96,6 +98,14 @@ class TestSynth:
         program = parse_program(out.read_text())
         problem = jsonio.load_problem(trisum_problem)
         assert validate_program(program, problem).passed
+
+    def test_json_reports_search_counts(self, trisum_problem, tmp_path, capsys):
+        code = main(["synth", "--problem", str(trisum_problem), "--lines", "3",
+                     "--out", str(tmp_path / "p.txt"), "--backward-gotos-only", "--json"])
+        assert code == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert 0 <= payload["dead_ends"] <= payload["evaluations"] <= payload["generated"]
+        assert payload["expansions"] > 0 and payload["elapsed"] >= 0
 
     def test_zero_positives_is_error(self, tmp_path):
         path = write_problem(
@@ -250,6 +260,20 @@ class TestValidate:
                      "--mode", mode])
         assert code == EXIT_EXHAUSTED
         assert "search budget exhausted after 1 expansions" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["compiled", "both"])
+    def test_budget_flags_reach_compiled_validation(self, corridor_files, mode, capsys):
+        problem, program = corridor_files
+        code = main(["validate", "--problem", str(problem), "--program", str(program),
+                     "--mode", mode, "--max-expansions", "1"])
+        assert code == EXIT_EXHAUSTED
+        assert "search budget exhausted after 1 expansions" in capsys.readouterr().err
+
+    def test_compiled_validation_always_has_a_budget(self, monkeypatch):
+        monkeypatch.delenv("GPSYN_PLANNER_BUDGET", raising=False)
+        args = _build_parser().parse_args(["validate", "--problem", "p", "--program", "q"])
+        config = _search_config(args)
+        assert config.max_expansions is None and config.max_seconds == 600.0
 
     def test_mode_disagreement_is_internal_error(self, corridor_files, monkeypatch):
         from gpsyn import cli as cli_mod

@@ -1,4 +1,5 @@
 import random
+from collections import Counter, deque
 
 import pytest
 
@@ -8,6 +9,7 @@ from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     Label,
+    Literal,
     is_applicable,
     successor,
     validate_sequential_plan,
@@ -22,9 +24,15 @@ from gpsyn.planner import (
     h_add,
     solve,
 )
-from helpers import random_frame, random_goal, random_state, random_validation_case
+from helpers import (
+    random_frame,
+    random_generalized_problem,
+    random_goal,
+    random_state,
+    random_validation_case,
+)
 
-from gpsyn.compiler import compile_validation
+from gpsyn.compiler import compile_synthesis_pn, compile_validation
 from gpsyn.domains import InstanceSpec, build_task
 
 
@@ -107,6 +115,22 @@ def test_bfs_is_blind_best_first_and_finds_shortest_plans():
     assert unsolvable > 0 and max(lengths) >= 10
 
 
+def test_search_counts_evaluations_and_dead_ends():
+    pruned = 0
+    specs = [InstanceSpec(2), InstanceSpec(4), InstanceSpec(4, Label.NEGATIVE)]
+    task = build_task("trisum", specs)
+    synthesis = compile_synthesis_pn(task, 3, allow_forward_gotos=False)
+    instances = [*random_search_instances(random.Random(31), 30), synthesis]
+    for inst in instances:
+        for config in (SearchConfig(), BFS_CONFIG):
+            stats = solve(inst, config).stats
+            assert 0 <= stats.dead_ends <= stats.evaluations <= stats.generated
+            if config is BFS_CONFIG:
+                assert stats.dead_ends == 0  # the blind evaluator never prunes
+            pruned += stats.dead_ends
+    assert pruned > 0
+
+
 def test_bfs_proves_unsolvable():
     b = FrameBuilder()
     b.fluent("a"), b.fluent("goal")
@@ -170,7 +194,79 @@ def test_validation_compilation_unsolvable_for_straight_program(
     assert result.status is SolveStatus.PROVED_UNSOLVABLE
 
 
+def reference_h_add(frame, goal, bits):
+    """h_add by naive fixpoint: each effect branch is a relaxed operator
+    (precondition ∪ condition → effect), and ``cost[q] = min(cost[q], 1 +
+    Σ cost[pre])`` is repeated over all of them until no cost changes."""
+    ops = [
+        (set(act.pre.literals()) | set(ce.condition.literals()), list(ce.effect.literals()))
+        for act in frame.actions
+        for ce in act.cond
+    ]
+    cost = {Literal(f, bool(bits >> f & 1)): 0 for f in range(frame.width)}
+    changed = True
+    while changed:
+        changed = False
+        for pre, add in ops:
+            if all(p in cost for p in pre):
+                c = 1 + sum(cost[p] for p in pre)
+                for q in add:
+                    if c < cost.get(q, INF):
+                        cost[q] = c
+                        changed = True
+    return sum(cost.get(g, INF) for g in goal.literals())
+
+
+def bfs_states(inst, limit):
+    """The first ``limit`` states breadth-first search reaches from init."""
+    order, seen = [inst.init], {inst.init}
+    queue = deque(order)
+    while queue and len(order) < limit:
+        state = queue.popleft()
+        for action in inst.frame.actions:
+            if is_applicable(state, action):
+                child = successor(state, action)
+                if child not in seen:
+                    seen.add(child)
+                    order.append(child)
+                    queue.append(child)
+    return order[:limit]
+
+
+def hadd_cases(rng):
+    """(instance, states): random classical instances at random states, then
+    states reached by BFS in compiled validation and small PN synthesis."""
+    for _ in range(150):
+        frame = random_frame(rng, rng.randint(2, 8), rng.randint(1, 8))
+        goal = random_goal(rng, frame, max_literals=4)
+        yield ClassicalInstance(frame, "t", frame.state([]), goal), [
+            random_state(rng, frame) for _ in range(4)
+        ]
+    for _ in range(15):
+        program, problem, _ = random_validation_case(rng)
+        compiled = compile_validation(problem, program)
+        yield compiled, bfs_states(compiled, 30)
+    for _ in range(5):
+        frame = random_frame(rng, rng.randint(2, 4), rng.randint(1, 3))
+        labels = [Label.POSITIVE] + [Label.NEGATIVE] * rng.randint(0, 2)
+        compiled = compile_synthesis_pn(random_generalized_problem(rng, frame, 0, labels), 2)
+        yield compiled, bfs_states(compiled, 25)
+    task = build_task("robopainter", [InstanceSpec(2), InstanceSpec(1, Label.NEGATIVE)])
+    compiled = compile_synthesis_pn(task, 3, allow_forward_gotos=False)
+    yield compiled, bfs_states(compiled, 40)
+
+
 class TestHAdd:
+    def test_equals_naive_fixpoint_reference(self):
+        kinds = Counter()
+        for inst, states in hadd_cases(random.Random(41)):
+            heuristic = planner._HAdd(inst.frame, inst.goal)
+            for state in states:
+                expected = reference_h_add(inst.frame, inst.goal, state.bits)
+                assert heuristic.value(state.bits) == expected
+                kinds["inf" if expected == INF else min(expected, 2)] += 1
+        assert kinds[0] and kinds[1] and kinds[2] and kinds["inf"], kinds
+
     def test_zero_iff_goal_holds(self):
         frame = chain_frame(3)
         inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f0"))
@@ -185,6 +281,25 @@ class TestHAdd:
         frame = chain_frame(4)
         inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f4"))
         assert h_add(inst.init, inst) == 4
+
+    def test_zero_width_frame(self):
+        frame = FrameBuilder().build()
+        inst = ClassicalInstance(frame, "t", frame.state([]), frame.literal_set())
+        assert h_add(inst.init, inst) == 0
+
+    def test_literal_reached_twice_at_cost_one_counts_once(self):
+        # q is added at cost 1 by two actions; g needs q (cost 1) and r2 (cost 2).
+        b = FrameBuilder()
+        for name in ("a", "q", "r1", "r2", "g"):
+            b.fluent(name)
+        b.action("q_first", pre=["a"], cond=[([], ["q"])])
+        b.action("q_again", pre=["a"], cond=[([], ["q"])])
+        b.action("r1", pre=["a"], cond=[([], ["r1"])])
+        b.action("r2", pre=["r1"], cond=[([], ["r2"])])
+        b.action("g", pre=["q", "r2"], cond=[([], ["g"])])
+        frame = b.build()
+        inst = ClassicalInstance(frame, "t", frame.state(["a"]), frame.literal_set("g"))
+        assert h_add(inst.init, inst) == 1 + 1 + 2
 
     def test_infinite_iff_bfs_unsolvable_on_random_instances(self):
         rng = random.Random(13)
