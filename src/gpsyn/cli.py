@@ -7,10 +7,12 @@ test set), ``export-pddl`` (ground PDDL for external planners).
 
 Exit codes: 0 success, 2 parse/input error, 3 proved unsolvable, 4 resource
 exhausted (search budget or interpreter state cap), 5 internal consistency
-failure. ``GPSYN_PLANNER_BUDGET`` overrides the default expansion budget of
-``synth``, of compiled ``validate`` and of ``gen --check-reachability``. Every
-output file gets a deterministic manifest (embedded) and a timestamped sidecar
-``<output>.manifest.json``.
+failure. Every search (``synth``, compiled ``validate`` and
+``gen --check-reachability``) is bounded: ``--max-seconds`` where the command
+has it, otherwise :data:`DEFAULT_MAX_SECONDS` (600 s), and
+``GPSYN_PLANNER_BUDGET`` sets the expansion budget when no
+``--max-expansions`` is given. Every output file gets a deterministic manifest
+(embedded) and a timestamped sidecar ``<output>.manifest.json``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ EXIT_EXHAUSTED = 4
 EXIT_INCONSISTENT = 5
 
 _BUDGET_ENV = "GPSYN_PLANNER_BUDGET"
+# Time budget, in seconds, of every search run without ``--max-seconds``.
+DEFAULT_MAX_SECONDS = 600.0
 
 
 def _manifest(command: str, arguments: dict, inputs: list, outputs: list, seed=None) -> dict:
@@ -86,8 +90,9 @@ class _BudgetExhausted(Exception):
 
 def _search_config(args, **fields) -> SearchConfig:
     """A search config with the ``--max-expansions`` / ``--max-seconds``
-    budget of ``args``; an expansion budget not given there comes from
-    ``GPSYN_PLANNER_BUDGET``."""
+    budget of ``args``. An expansion budget not given there comes from
+    ``GPSYN_PLANNER_BUDGET``, a time budget from :data:`DEFAULT_MAX_SECONDS`,
+    so every search is bounded."""
     max_expansions = getattr(args, "max_expansions", None)
     text = os.environ.get(_BUDGET_ENV)
     if max_expansions is None and text:
@@ -96,6 +101,8 @@ def _search_config(args, **fields) -> SearchConfig:
         except ValueError:
             raise ParseError(f"{_BUDGET_ENV} must be an integer, got {text!r}") from None
     max_seconds = getattr(args, "max_seconds", None)
+    if max_seconds is None:
+        max_seconds = DEFAULT_MAX_SECONDS
     return SearchConfig(max_expansions=max_expansions, max_seconds=max_seconds, **fields)
 
 
@@ -428,7 +435,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategy", choices=[s.value for s in Strategy], default="gbfs")
     p.add_argument("--heuristic", choices=[h.value for h in Heuristic], default="hadd")
     p.add_argument("--max-expansions", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=600.0)
+    p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--backward-gotos-only", action="store_true",
                    help="restrict goto targets to earlier lines (smaller search space)")
     p.add_argument("--json", action="store_true")
@@ -439,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--program", required=True)
     p.add_argument("--mode", choices=["direct", "compiled", "both"], default="direct")
     p.add_argument("--max-expansions", type=int, default=None)
-    p.add_argument("--max-seconds", type=float, default=600.0)
+    p.add_argument("--max-seconds", type=float, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_validate)
 

@@ -1,12 +1,14 @@
 """Parameterized generators for the six benchmark generalized-planning tasks.
 
 Each domain has a frame builder (sized to the largest instance in a task),
-an instance generator, and a reference generalized program that solves every
-positive size. Instances of one domain at different sizes keep the same
-action and per-size fluent names, so one program text runs against all of
-them. Numeric quantities (Fibonacci, triangular sum) are encoded in unary as
-``val_<var>_<v>`` fluents over a bounded range, with arithmetic spelled out
-through conditional effects.
+an instance function that returns the init and default goal texts of one
+size, and a reference generalized program that solves every positive size.
+:func:`build_task` is the one place that turns those texts into named
+instances, applying any goal override. Instances of one domain at different
+sizes keep the same action and per-size fluent names, so one program text
+runs against all of them. Numeric quantities (Fibonacci, triangular sum)
+are encoded in unary as ``val_<var>_<v>`` fluents over a bounded range, with
+arithmetic spelled out through conditional effects.
 
 Negative examples are curated goal overrides: reachable as classical goals
 (the taxonomy requires negatives to be solvable) but unmet by the intended
@@ -24,7 +26,6 @@ from .model import (
     FrameBuilder,
     GeneralizedProblem,
     Label,
-    LiteralSet,
 )
 from .program import Program, parse_program
 
@@ -49,17 +50,6 @@ class InstanceSpec:
     def __post_init__(self):
         if self.size < 1:
             raise ModelError("instance size must be >= 1")
-
-
-def _apply_goal(frame: Frame, spec: InstanceSpec, default: list[str]) -> LiteralSet:
-    texts = spec.goal_override if spec.goal_override is not None else default
-    return frame.literal_set(*texts)
-
-
-def _name(spec: InstanceSpec, domain: str, index: int) -> str:
-    if spec.name:
-        return spec.name
-    return f"{domain}-{spec.size}-{spec.label.value}-{index}"
 
 
 # --------------------------------------------------------------------------
@@ -88,7 +78,7 @@ def robopainter_frame(max_size: int) -> Frame:
     return b.build()
 
 
-def robopainter_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> ClassicalInstance:
+def robopainter_instance(spec: InstanceSpec) -> tuple[list[str], list[str]]:
     n = spec.size
     init = ["at_1", f"last_{n}"] + (["at_end"] if n == 1 else [])
     if spec.label is Label.POSITIVE:
@@ -96,13 +86,7 @@ def robopainter_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> Cl
     else:
         # The robot must sit where it started with its cell unpainted.
         default = ["at_1", "!painted_1"]
-    return ClassicalInstance(
-        frame,
-        _name(spec, "robopainter", index),
-        frame.state(init),
-        _apply_goal(frame, spec, default),
-        spec.label,
-    )
+    return init, default
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +146,7 @@ def gripper_frame(max_balls: int) -> Frame:
     return b.build()
 
 
-def gripper_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> ClassicalInstance:
+def gripper_instance(spec: InstanceSpec) -> tuple[list[str], list[str]]:
     n = spec.size
     init = [f"at_a_{i}" for i in range(1, n + 1)] + ["robot_at_a", "left_empty", "right_empty"]
     if spec.label is Label.POSITIVE:
@@ -170,13 +154,7 @@ def gripper_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> Classi
     else:
         # Everything moved except the last ball, which must stay behind.
         default = [f"at_b_{i}" for i in range(1, n)] + [f"at_a_{n}"]
-    return ClassicalInstance(
-        frame,
-        _name(spec, "gripper", index),
-        frame.state(init),
-        _apply_goal(frame, spec, default),
-        spec.label,
-    )
+    return init, default
 
 
 # --------------------------------------------------------------------------
@@ -251,7 +229,7 @@ def _value_of(text: str) -> int:
     return int(tail) if tail.isdigit() else 0
 
 
-def fibonacci_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> ClassicalInstance:
+def fibonacci_instance(spec: InstanceSpec) -> tuple[list[str], list[str]]:
     k = spec.size
     iters = max(k - 2, 0)
     init = [f"val_a_1", f"val_b_{iters}", "val_c_1", "val_d_0"] + (["zero_b"] if iters == 0 else [])
@@ -262,13 +240,7 @@ def fibonacci_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> Clas
         # D = C = 1) but never produced by the Fibonacci recurrence run.
         wrong = _fib(k) - 1 if k >= 3 else _fib(k) + 1
         default = [f"val_a_{wrong}"]
-    return ClassicalInstance(
-        frame,
-        _name(spec, "fibonacci", index),
-        frame.state(init),
-        _apply_goal(frame, spec, default),
-        spec.label,
-    )
+    return init, default
 
 
 # --------------------------------------------------------------------------
@@ -299,7 +271,7 @@ def trisum_bounds(specs: list[InstanceSpec]) -> tuple[int, int]:
     return bound, iters
 
 
-def trisum_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> ClassicalInstance:
+def trisum_instance(spec: InstanceSpec) -> tuple[list[str], list[str]]:
     n = spec.size
     init = ["val_a_0", f"val_b_{n}"]
     if spec.label is Label.POSITIVE:
@@ -307,13 +279,7 @@ def trisum_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> Classic
     else:
         # One less than the true sum: reachable by skipping the final +1.
         default = [f"val_a_{_tri(n) - 1}"]
-    return ClassicalInstance(
-        frame,
-        _name(spec, "trisum", index),
-        frame.state(init),
-        _apply_goal(frame, spec, default),
-        spec.label,
-    )
+    return init, default
 
 
 # --------------------------------------------------------------------------
@@ -338,7 +304,7 @@ def list_frame(max_len: int) -> Frame:
     return b.build()
 
 
-def list_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> ClassicalInstance:
+def list_instance(spec: InstanceSpec) -> tuple[list[str], list[str]]:
     n = spec.size
     init = ["cur_1", f"tail_{n}"]
     if spec.label is Label.POSITIVE:
@@ -346,13 +312,7 @@ def list_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> Classical
     else:
         # One node must stay unvisited; the traversal program visits them all.
         default = ["!visited_1"] if n == 1 else ["visited_1", "!visited_2"]
-    return ClassicalInstance(
-        frame,
-        _name(spec, "list", index),
-        frame.state(init),
-        _apply_goal(frame, spec, default),
-        spec.label,
-    )
+    return init, default
 
 
 # --------------------------------------------------------------------------
@@ -389,7 +349,7 @@ def greenblock_frame(max_height: int) -> Frame:
     return b.build()
 
 
-def greenblock_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> ClassicalInstance:
+def greenblock_instance(spec: InstanceSpec) -> tuple[list[str], list[str]]:
     height = spec.size
     green = spec.aux if spec.aux is not None else height
     if not 1 <= green <= height:
@@ -403,17 +363,11 @@ def greenblock_instance(frame: Frame, spec: InstanceSpec, index: int = 0) -> Cla
             default = ["tower_empty", "!collected"]
         else:
             default = [f"holding_{non_green}"]
-    return ClassicalInstance(
-        frame,
-        _name(spec, "greenblock", index),
-        frame.state(init),
-        _apply_goal(frame, spec, default),
-        spec.label,
-    )
+    return init, default
 
 
 # --------------------------------------------------------------------------
-# Registry, task assembly, convenience generators.
+# Registry and task assembly.
 
 def _simple_frame(builder):
     return lambda specs: builder(max(spec.size for spec in specs))
@@ -440,39 +394,26 @@ def build_task(domain: str, specs: list[InstanceSpec]) -> GeneralizedProblem:
         raise ModelError("need at least one instance spec")
     frame_fn, instance_fn = _DOMAINS[domain]
     frame = frame_fn(specs)
-    instances = tuple(instance_fn(frame, spec, i + 1) for i, spec in enumerate(specs))
-    return GeneralizedProblem(frame, instances)
+    instances = []
+    for index, spec in enumerate(specs, 1):
+        init, default = instance_fn(spec)
+        # An empty override is a legal empty goal, so test for None.
+        goal = spec.goal_override if spec.goal_override is not None else default
+        instances.append(
+            ClassicalInstance(
+                frame,
+                spec.name or f"{domain}-{spec.size}-{spec.label.value}-{index}",
+                frame.state(init),
+                frame.literal_set(*goal),
+                spec.label,
+            )
+        )
+    return GeneralizedProblem(frame, tuple(instances))
 
 
 def generate_instance(domain: str, spec: InstanceSpec) -> ClassicalInstance:
     """A standalone instance in its own frame (sized to this spec alone)."""
     return build_task(domain, [spec]).instances[0]
-
-
-def gen_robopainter(size, label=Label.POSITIVE, goal_override=None):
-    return generate_instance("robopainter", InstanceSpec(size, label, goal_override))
-
-
-def gen_gripper(balls, label=Label.POSITIVE, goal_override=None):
-    return generate_instance("gripper", InstanceSpec(balls, label, goal_override))
-
-
-def gen_fibonacci(k, label=Label.POSITIVE, goal_override=None):
-    return generate_instance("fibonacci", InstanceSpec(k, label, goal_override))
-
-
-def gen_trisum(n, label=Label.POSITIVE, goal_override=None):
-    return generate_instance("trisum", InstanceSpec(n, label, goal_override))
-
-
-def gen_list(length, label=Label.POSITIVE, goal_override=None):
-    return generate_instance("list", InstanceSpec(length, label, goal_override))
-
-
-def gen_greenblock(height, green_pos=None, label=Label.POSITIVE, goal_override=None):
-    return generate_instance(
-        "greenblock", InstanceSpec(height, label, goal_override, aux=green_pos)
-    )
 
 
 _REFERENCE_TEXT = {

@@ -14,12 +14,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ModelError
-from .interpreter import (
-    DEFAULT_STATE_CAP,
-    ExecutionOutcome,
-    execute,
-)
-from .model import ClassicalInstance, GeneralizedProblem, Label
+from .interpreter import DEFAULT_STATE_CAP, ExecutionOutcome, execute
+from .model import GeneralizedProblem, Label
 from .program import Program
 
 
@@ -47,14 +43,6 @@ class ConfusionCounts:
     @property
     def total(self) -> int:
         return self.p + self.n + self.p_minus + self.n_minus
-
-    @property
-    def positives(self) -> int:
-        return self.p + self.n_minus
-
-    @property
-    def negatives(self) -> int:
-        return self.n + self.p_minus
 
     def add(self, c: Classification) -> "ConfusionCounts":
         return ConfusionCounts(
@@ -91,16 +79,6 @@ def format_metric(value: Fraction | None) -> str:
     if value is None:
         return "-"
     return f"{float(value) * 100:.2f}%"
-
-
-def classify(
-    program: Program,
-    instance: ClassicalInstance,
-    *,
-    state_cap: int = DEFAULT_STATE_CAP,
-) -> Classification:
-    outcome = execute(program, instance, state_cap=state_cap)
-    return classification_of(instance.label, outcome.solved)
 
 
 def classification_of(label: Label, solved: bool) -> Classification:

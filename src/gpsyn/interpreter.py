@@ -2,18 +2,18 @@
 
 Execution is deterministic over the finite space of program states
 ``(state, pc)``, so nontermination is equivalent to revisiting a program
-state. The interpreter keeps an exact visited set (state bits, pc) and
-classifies every failure as one of: incomplete program, inapplicable action,
-or infinite loop.
+state. :func:`execute` is one loop over the program's bound ops: it keeps an
+exact visited set (state bits, pc), applies actions through
+:func:`gpsyn.model.successor_bits`, and classifies every failure as one of:
+incomplete program, inapplicable action, or infinite loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
 
-from .errors import ExecutionResourceError, ModelError
+from .errors import ExecutionResourceError
 from .model import ClassicalInstance, Frame, GeneralizedProblem, State, successor_bits
 from .program import ActInstruction, GotoInstruction, Program
 
@@ -35,24 +35,6 @@ class ProgramState:
 
     state: State
     pc: int
-
-
-@dataclass(frozen=True)
-class Terminated:
-    """Step result for an ``end`` instruction."""
-
-
-@dataclass(frozen=True)
-class StepFailure:
-    """An action instruction whose precondition does not hold."""
-
-    line: int
-    action: str
-
-
-TERMINATED = Terminated()
-
-StepResult = Union[ProgramState, Terminated, StepFailure]
 
 
 @dataclass(frozen=True)
@@ -105,33 +87,6 @@ def bind_program(program: Program, frame: Frame) -> list[tuple]:
     return ops
 
 
-def _advance(ops: list[tuple], bits: int, pc: int) -> tuple[int, int] | Terminated | StepFailure:
-    """Run the bound op at ``pc``: the next ``(bits, pc)``, or
-    :data:`TERMINATED` at ``end``, or a :class:`StepFailure` when an act's
-    precondition does not hold."""
-    op = ops[pc]
-    kind = op[0]
-    if kind == _ACT:
-        action = op[1]
-        if not action.pre.holds(bits):
-            return StepFailure(pc, action.name)
-        return successor_bits(bits, action), pc + 1
-    if kind == _GOTO:
-        # Fall through when the fluent is true, jump when it is false.
-        return bits, (pc + 1 if bits >> op[2] & 1 else op[1])
-    return TERMINATED
-
-
-def step(program: Program, frame: Frame, ps: ProgramState) -> StepResult:
-    """Execute the single instruction at ``ps.pc``."""
-    if not 0 <= ps.pc <= program.n:
-        raise ModelError(f"program counter {ps.pc} outside [0, {program.n}]")
-    nxt = _advance(bind_program(program, frame), ps.state.bits, ps.pc)
-    if isinstance(nxt, tuple):
-        return ProgramState(State(nxt[0], ps.state.width), nxt[1])
-    return nxt
-
-
 def execute(
     program: Program,
     instance: ClassicalInstance,
@@ -140,39 +95,48 @@ def execute(
 ) -> ExecutionOutcome:
     """Run ``program`` from ``(instance.init, 0)`` to one of the outcomes."""
     ops = bind_program(program, instance.frame)
-    key = (instance.init.bits, 0)
+    bits, pc = instance.init.bits, 0
     steps = 0
-    seen = {key}
-    while isinstance(nxt := _advance(ops, *key), tuple):
-        key = nxt
+    seen = {(bits, pc)}
+    while True:
+        op = ops[pc]
+        kind = op[0]
+        if kind == _ACT:
+            action = op[1]
+            if not action.pre.holds(bits):
+                return ExecutionOutcome(
+                    solved=False,
+                    steps=steps,
+                    failure=FailureKind.INAPPLICABLE,
+                    line=pc,
+                    action=action.name,
+                )
+            bits, pc = successor_bits(bits, action), pc + 1
+        elif kind == _GOTO:
+            # Fall through when the fluent is true, jump when it is false.
+            pc = pc + 1 if bits >> op[2] & 1 else op[1]
+        else:
+            solved = instance.goal.holds(bits)
+            return ExecutionOutcome(
+                solved=solved,
+                steps=steps,
+                failure=None if solved else FailureKind.INCOMPLETE,
+            )
         steps += 1
+        key = (bits, pc)
         if key in seen:
             return ExecutionOutcome(
                 solved=False,
                 steps=steps,
                 failure=FailureKind.INFINITE_LOOP,
                 repeat_step=steps,
-                repeat_state=ProgramState(State(key[0], instance.init.width), key[1]),
+                repeat_state=ProgramState(State(bits, instance.init.width), pc),
             )
         if len(seen) >= state_cap:
             raise ExecutionResourceError(
                 f"visited-state cap {state_cap} exceeded after {steps} steps"
             )
         seen.add(key)
-    if nxt is TERMINATED:
-        solved = instance.goal.holds(key[0])
-        return ExecutionOutcome(
-            solved=solved,
-            steps=steps,
-            failure=None if solved else FailureKind.INCOMPLETE,
-        )
-    return ExecutionOutcome(
-        solved=False,
-        steps=steps,
-        failure=FailureKind.INAPPLICABLE,
-        line=nxt.line,
-        action=nxt.action,
-    )
 
 
 def validate_program(

@@ -5,6 +5,10 @@ fluent) and literal sets are pairs of bitmasks (asserted-true, asserted-false).
 Compiled instances produced by :mod:`gpsyn.compiler` reuse these types, so the
 representation has to stay cheap at a few hundred fluents.
 
+Conditions are tested on state bitmasks with :meth:`LiteralSet.holds`, and
+:func:`successor_bits` is the one successor function; :func:`successor` and
+:meth:`State.value` are conveniences over the same bits.
+
 All types are immutable values after construction and safe to share.
 """
 
@@ -55,16 +59,6 @@ class LiteralSet:
         self.pos = pos
         self.neg = neg
 
-    @classmethod
-    def from_literals(cls, literals: Iterable[Literal]) -> "LiteralSet":
-        pos = neg = 0
-        for lit in literals:
-            if lit.positive:
-                pos |= 1 << lit.fluent
-            else:
-                neg |= 1 << lit.fluent
-        return cls(pos, neg)
-
     def literals(self) -> Iterator[Literal]:
         for f in bit_ids(self.pos):
             yield Literal(f, True)
@@ -80,16 +74,9 @@ class LiteralSet:
             )
         return LiteralSet(self.pos | other.pos, self.neg | other.neg)
 
-    def negate(self) -> "LiteralSet":
-        """The complement view: every literal with its polarity flipped."""
-        return LiteralSet(self.neg, self.pos)
-
     def holds(self, bits: int) -> bool:
         """True iff every literal holds in the state bitmask ``bits``."""
         return (bits & self.pos) == self.pos and (bits & self.neg) == 0
-
-    def holds_in(self, state: "State") -> bool:
-        return self.holds(state.bits)
 
     def render(self, frame: "Frame") -> str:
         return "{" + ", ".join(l.render(frame) for l in self.literals()) + "}"
@@ -238,20 +225,29 @@ class Frame:
     def has_action(self, name: str) -> bool:
         return name in self._actions_by_name
 
-    def literal(self, text: str) -> Literal:
-        """Parse ``"name"`` / ``"!name"`` into a literal."""
-        if text.startswith("!"):
-            return Literal(self.fluent_id(text[1:]), False)
-        return Literal(self.fluent_id(text), True)
-
     def literal_set(self, *texts: str) -> LiteralSet:
-        return LiteralSet.from_literals(self.literal(t) for t in texts)
+        """Parse ``"name"`` / ``"!name"`` texts into a literal set."""
+        return _literal_set(texts, self._fluent_ids)
 
     def state(self, true_names: Iterable[str]) -> State:
         bits = 0
         for name in true_names:
             bits |= 1 << self.fluent_id(name)
         return State(bits, self.width)
+
+
+def _literal_set(texts: Iterable[str], ids: dict) -> LiteralSet:
+    """Parse ``"name"`` / ``"!name"`` texts, with fluent ids from ``ids``."""
+    pos = neg = 0
+    try:
+        for text in texts:
+            if text.startswith("!"):
+                neg |= 1 << ids[text[1:]]
+            else:
+                pos |= 1 << ids[text]
+    except KeyError as exc:
+        raise ModelError(f"unknown fluent {exc.args[0]!r}") from None
+    return LiteralSet(pos, neg)
 
 
 class FrameBuilder:
@@ -270,15 +266,6 @@ class FrameBuilder:
         self._ids[name] = idx
         return idx
 
-    def _lit_set(self, texts: Iterable[str]) -> LiteralSet:
-        pos = neg = 0
-        for text in texts:
-            if text.startswith("!"):
-                neg |= 1 << self._ids[text[1:]]
-            else:
-                pos |= 1 << self._ids[text]
-        return LiteralSet(pos, neg)
-
     def action(
         self,
         name: str,
@@ -286,9 +273,10 @@ class FrameBuilder:
         cond: Iterable[tuple[Iterable[str], Iterable[str]]] = (),
     ) -> None:
         effects = tuple(
-            ConditionalEffect(self._lit_set(c), self._lit_set(e)) for c, e in cond
+            ConditionalEffect(_literal_set(c, self._ids), _literal_set(e, self._ids))
+            for c, e in cond
         )
-        self._actions.append(Action(name, self._lit_set(pre), effects))
+        self._actions.append(Action(name, _literal_set(pre, self._ids), effects))
 
     def build(self) -> Frame:
         return Frame(tuple(self._fluents), tuple(self._actions))
@@ -350,19 +338,8 @@ class GeneralizedProblem:
     def t_negative(self) -> int:
         return self.t_total - self.t_positive
 
-    def positives(self) -> tuple[ClassicalInstance, ...]:
-        return tuple(i for i in self.instances if i.is_positive)
-
-    def negatives(self) -> tuple[ClassicalInstance, ...]:
-        return tuple(i for i in self.instances if not i.is_positive)
-
 
 PlanLike = Sequence[Union[Action, int]]
-
-
-def is_applicable(state: State, action: Action) -> bool:
-    """True iff the action's precondition is a subset of the (total) state."""
-    return action.pre.holds_in(state)
 
 
 def triggered_masks(bits: int, action: Action) -> tuple[int, int]:
@@ -397,14 +374,9 @@ def successor_bits(bits: int, action: Action) -> int:
     return (bits | pos) & ~neg
 
 
-def triggered_effects(state: State, action: Action) -> LiteralSet:
-    """Union of effects whose conditions hold in ``state``."""
-    return LiteralSet(*triggered_masks(state.bits, action))
-
-
 def successor(state: State, action: Action) -> State:
     """The state after applying ``action``, which must be applicable."""
-    if not is_applicable(state, action):
+    if not action.pre.holds(state.bits):
         raise InapplicableActionError(f"action {action.name!r} not applicable")
     return State(successor_bits(state.bits, action), state.width)
 
@@ -416,8 +388,8 @@ def validate_sequential_plan(problem, plan: PlanLike) -> bool:
     compiled instances work. Inapplicability yields ``False``, not an error.
     """
     bits = problem.init.bits
-    for step in plan:
-        action = problem.frame.actions[step] if isinstance(step, int) else step
+    for entry in plan:
+        action = problem.frame.actions[entry] if isinstance(entry, int) else entry
         if not action.pre.holds(bits):
             return False
         bits = successor_bits(bits, action)

@@ -5,14 +5,16 @@ a parameterless action. Requirements are ``:strips :negative-preconditions
 :conditional-effects``. The reader accepts exactly this fragment, so anything
 the writer emits round-trips; action and fluent names are preserved verbatim
 (a compiled action's name is its decode role's ``Role.name``, which therefore
-survives the round-trip).
+survives the round-trip). An undeclared predicate or a duplicate name in the
+input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from pathlib import Path
 
-from .errors import ParseError
+from .errors import ModelError, ParseError
 from .model import (
     ClassicalInstance,
     Frame,
@@ -145,6 +147,21 @@ def _text(pairs: list[tuple[str, bool]]) -> list[str]:
     return [name if positive else "!" + name for name, positive in pairs]
 
 
+def _model_errors_as_parse_errors(read):
+    """An unknown fluent, a duplicate name or a clash in the PDDL text is a
+    :class:`ParseError` of the input, as in :mod:`gpsyn.jsonio`."""
+
+    @wraps(read)
+    def reader(*args, **kwargs):
+        try:
+            return read(*args, **kwargs)
+        except ModelError as exc:
+            raise ParseError(f"malformed PDDL: {exc}") from exc
+
+    return reader
+
+
+@_model_errors_as_parse_errors
 def read_domain(text: str) -> Frame:
     sexp = _read_sexp(text)
     if sexp[0] != "define" or sexp[1][0] != "domain":
@@ -184,6 +201,7 @@ def read_domain(text: str) -> Frame:
     return builder.build()
 
 
+@_model_errors_as_parse_errors
 def read_problem(text: str, frame: Frame, label: Label = Label.POSITIVE) -> ClassicalInstance:
     sexp = _read_sexp(text)
     if sexp[0] != "define" or sexp[1][0] != "problem":
@@ -202,7 +220,3 @@ def read_problem(text: str, frame: Frame, label: Label = Label.POSITIVE) -> Clas
             goal = frame.literal_set(*_text(_flatten_literals(section[1])))
     return ClassicalInstance(frame, name, frame.state(init_names), goal, label)
 
-
-def read_files(domain_path, problem_path, label: Label = Label.POSITIVE) -> ClassicalInstance:
-    frame = read_domain(Path(domain_path).read_text())
-    return read_problem(Path(problem_path).read_text(), frame, label)

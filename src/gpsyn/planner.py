@@ -277,16 +277,3 @@ def _search(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
     counts = (expansions, generated, evaluations, dead_ends)
     return _finish(SolveStatus.PROVED_UNSOLVABLE, t0, counts)
 
-
-def goal_reachable(instance, config: SearchConfig = BFS_CONFIG) -> bool:
-    """Exhaustively check that the instance goal is reachable from its init.
-
-    Intended for vetting negative examples (which must be solvable as
-    classical problems); exponential, so opt-in.
-    """
-    result = solve(instance, config)
-    if result.status is SolveStatus.RESOURCE_EXHAUSTED:
-        raise InternalConsistencyError(
-            "reachability check exhausted its budget; raise limits"
-        )
-    return result.solved

@@ -1,4 +1,5 @@
-"""Shared test utilities: randomized frames, programs, and labeled instances.
+"""Shared test utilities: randomized frames, programs, and labeled instances,
+and a reference program stepper that shares no code with the interpreter.
 
 Random actions assign one polarity per touched fluent across all effect
 branches, so simultaneously triggered effects can never conflict; random
@@ -10,8 +11,8 @@ from __future__ import annotations
 
 import random
 
-from gpsyn.errors import ExecutionResourceError
-from gpsyn.interpreter import execute
+from gpsyn.errors import ExecutionResourceError, InapplicableActionError
+from gpsyn.interpreter import ExecutionOutcome, FailureKind, ProgramState, execute
 from gpsyn.model import (
     ClassicalInstance,
     Frame,
@@ -20,6 +21,7 @@ from gpsyn.model import (
     Label,
     LiteralSet,
     State,
+    successor,
 )
 from gpsyn.program import (
     ActInstruction,
@@ -124,3 +126,49 @@ def random_validation_case(
             continue
         if all(out.steps <= max_steps for out in outcomes):
             return program, problem, outcomes
+
+
+# -- reference stepper --------------------------------------------------------
+
+END = "end"
+
+
+def reference_step(program: Program, frame: Frame, ps: ProgramState):
+    """The instruction at ``ps.pc``, read from ``program.lines`` by name and
+    applied with ``model.successor``: the next :class:`ProgramState`, ``END``
+    at an end, or ``(line, action name)`` when the action is inapplicable."""
+    ins = program.lines[ps.pc]
+    if isinstance(ins, ActInstruction):
+        try:
+            return ProgramState(successor(ps.state, frame.action(ins.action)), ps.pc + 1)
+        except InapplicableActionError:
+            return ps.pc, ins.action
+    if isinstance(ins, GotoInstruction):
+        if ps.state.value(frame.fluent_id(ins.fluent)):
+            return ProgramState(ps.state, ps.pc + 1)
+        return ProgramState(ps.state, ins.target)
+    return END
+
+
+def reference_run(program: Program, instance: ClassicalInstance) -> ExecutionOutcome:
+    """Fold :func:`reference_step` from ``(init, 0)`` until an end, an
+    inapplicable action or a repeated program state: the outcome
+    ``interpreter.execute`` must return."""
+    ps, steps, seen = ProgramState(instance.init, 0), 0, set()
+    while True:
+        seen.add(ps)
+        nxt = reference_step(program, instance.frame, ps)
+        if nxt is END:
+            solved = all(ps.state.value(l.fluent) == l.positive for l in instance.goal.literals())
+            failure = None if solved else FailureKind.INCOMPLETE
+            return ExecutionOutcome(solved, steps, failure)
+        if not isinstance(nxt, ProgramState):
+            line, action = nxt
+            return ExecutionOutcome(
+                False, steps, FailureKind.INAPPLICABLE, line=line, action=action
+            )
+        ps, steps = nxt, steps + 1
+        if ps in seen:
+            return ExecutionOutcome(
+                False, steps, FailureKind.INFINITE_LOOP, repeat_step=steps, repeat_state=ps
+            )

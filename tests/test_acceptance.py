@@ -17,15 +17,7 @@ from gpsyn.compiler import (
 )
 from gpsyn.domains import InstanceSpec, build_task, generate_instance
 from gpsyn.evaluation import ConfusionCounts, compute_metrics, format_metric
-from gpsyn.interpreter import (
-    TERMINATED,
-    FailureKind,
-    ProgramState,
-    StepFailure,
-    execute,
-    step,
-    validate_program,
-)
+from gpsyn.interpreter import FailureKind, ProgramState, execute, validate_program
 from gpsyn.model import ClassicalInstance, GeneralizedProblem, Label
 from gpsyn.planner import BFS_CONFIG, SearchConfig, SolveStatus, solve
 from gpsyn.program import (
@@ -35,7 +27,14 @@ from gpsyn.program import (
     Program,
     parse_program,
 )
-from helpers import random_frame, random_program, random_state, random_validation_case
+from helpers import (
+    END,
+    random_frame,
+    random_program,
+    random_state,
+    random_validation_case,
+    reference_step,
+)
 
 
 def report(criterion: int, text: str) -> None:
@@ -130,14 +129,13 @@ def _terminal_state(program: Program, frame, init, cap: int = 300):
     ps = ProgramState(init, 0)
     seen = set()
     for _ in range(cap):
-        key = (ps.state.bits, ps.pc)
-        if key in seen:
+        if ps in seen:
             return None
-        seen.add(key)
-        nxt = step(program, frame, ps)
-        if nxt is TERMINATED:
+        seen.add(ps)
+        nxt = reference_step(program, frame, ps)
+        if nxt is END:
             return ps.state
-        if isinstance(nxt, StepFailure):
+        if not isinstance(nxt, ProgramState):
             return None
         ps = nxt
     return None

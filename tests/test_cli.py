@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import gpsyn
-from gpsyn import evaluation, interpreter, jsonio
+from gpsyn import cli, evaluation, interpreter, jsonio
 from gpsyn.cli import (
     EXIT_EXHAUSTED,
     EXIT_OK,
@@ -86,6 +86,15 @@ class TestGen:
         assert code == EXIT_EXHAUSTED
         assert "search budget exhausted after 1 expansions" in capsys.readouterr().err
 
+    def test_default_time_budget_bounds_check_reachability(self, tmp_path, monkeypatch,
+                                                           capsys):
+        monkeypatch.delenv("GPSYN_PLANNER_BUDGET", raising=False)
+        monkeypatch.setattr(cli, "DEFAULT_MAX_SECONDS", 1e-9)
+        code = main(["gen", "robopainter", "--size", "3", "--check-reachability",
+                     "--out", str(tmp_path / "p.json")])
+        assert code == EXIT_EXHAUSTED
+        assert "search budget exhausted after" in capsys.readouterr().err
+
 
 class TestSynth:
     def test_trisum_end_to_end(self, trisum_problem, tmp_path, capsys):
@@ -106,6 +115,19 @@ class TestSynth:
         payload = json.loads(capsys.readouterr().out)
         assert 0 <= payload["dead_ends"] <= payload["evaluations"] <= payload["generated"]
         assert payload["expansions"] > 0 and payload["elapsed"] >= 0
+        sidecar = json.loads((tmp_path / "p.txt.manifest.json").read_text())
+        assert sidecar["arguments"]["max_seconds"] == 600.0
+
+    @pytest.mark.parametrize("command", ["synth", "validate"])
+    def test_zero_max_seconds_is_parse_error(self, command, trisum_problem, tmp_path):
+        program = tmp_path / "p.txt"
+        program.write_text("0. end\n")
+        argv = {
+            "synth": ["synth", "--lines", "3", "--out", str(program)],
+            "validate": ["validate", "--program", str(program), "--mode", "compiled"],
+        }[command]
+        assert main(argv + ["--problem", str(trisum_problem), "--max-seconds", "0"]) \
+            == EXIT_PARSE
 
     def test_zero_positives_is_error(self, tmp_path):
         path = write_problem(

@@ -1,22 +1,17 @@
 import pytest
 
-from gpsyn import planner
 from gpsyn.domains import (
     DOMAIN_NAMES,
     InstanceSpec,
     build_task,
-    gen_fibonacci,
-    gen_greenblock,
-    gen_gripper,
-    gen_list,
-    gen_robopainter,
-    gen_trisum,
     generate_instance,
     reference_program,
 )
 from gpsyn.errors import ModelError
 from gpsyn.interpreter import execute
-from gpsyn.model import Label
+from gpsyn.model import Label, LiteralSet
+from gpsyn.planner import BFS_CONFIG, solve
+from gpsyn.program import parse_program
 
 
 def brute_fib(k):
@@ -33,29 +28,29 @@ def min_size(domain):
 
 class TestRoboPainter:
     def test_size2_positive_matches_upper_corridor(self):
-        inst = gen_robopainter(2)
+        inst = generate_instance("robopainter", InstanceSpec(2))
         frame = inst.frame
         assert inst.init.value(frame.fluent_id("at_1"))
         assert inst.goal == frame.literal_set("painted_1", "at_2")
 
     def test_size6_goal_paints_odd_cells(self):
-        inst = gen_robopainter(6)
+        inst = generate_instance("robopainter", InstanceSpec(6))
         assert inst.goal == inst.frame.literal_set(
             "painted_1", "painted_3", "painted_5", "at_6"
         )
 
     def test_size1_negative_stays_unpainted_at_start(self):
-        inst = gen_robopainter(1, Label.NEGATIVE)
+        inst = generate_instance("robopainter", InstanceSpec(1, Label.NEGATIVE))
         assert inst.goal == inst.frame.literal_set("at_1", "!painted_1")
         # the goal holds initially, so it is trivially reachable
-        assert inst.goal.holds_in(inst.init)
+        assert inst.goal.holds(inst.init.bits)
 
     def test_straight_plan_applicable_on_2x1(self):
         # inc at the boundary is a no-op, not a failure: (paint, inc, inc)
         # must execute to completion on the 2x1 corridor.
         from gpsyn.model import validate_sequential_plan
 
-        inst = gen_robopainter(2)
+        inst = generate_instance("robopainter", InstanceSpec(2))
         plan = [inst.frame.action(n) for n in ("paint", "inc", "inc")]
         assert validate_sequential_plan(inst, plan)
 
@@ -64,72 +59,75 @@ class TestGripper:
     def test_one_ball_solved_by_pick_move_drop(self):
         from gpsyn.model import validate_sequential_plan
 
-        inst = gen_gripper(1)
+        inst = generate_instance("gripper", InstanceSpec(1))
         plan = [inst.frame.action(n) for n in ("pick_left", "move", "drop_left")]
         assert validate_sequential_plan(inst, plan)
 
     def test_three_balls_reference_program(self):
-        assert execute(reference_program("gripper"), gen_gripper(3)).solved
+        inst = generate_instance("gripper", InstanceSpec(3))
+        assert execute(reference_program("gripper"), inst).solved
 
     def test_pick_with_full_hand_is_inapplicable(self):
-        from gpsyn.model import is_applicable, successor
+        from gpsyn.model import successor
 
-        inst = gen_gripper(2)
+        inst = generate_instance("gripper", InstanceSpec(2))
         pick = inst.frame.action("pick_left")
         held = successor(inst.init, pick)
-        assert not is_applicable(held, pick)
+        assert not pick.pre.holds(held.bits)
 
 
 class TestNumericDomains:
     @pytest.mark.parametrize("k", [1, 2, 5, 7])
     def test_fibonacci_goal_from_brute_force(self, k):
-        inst = gen_fibonacci(k)
+        inst = generate_instance("fibonacci", InstanceSpec(k))
         assert inst.goal == inst.frame.literal_set(f"val_a_{brute_fib(k)}")
 
     def test_fibonacci_negative_goal_off_by_one(self):
-        inst = gen_fibonacci(5, Label.NEGATIVE)
+        inst = generate_instance("fibonacci", InstanceSpec(5, Label.NEGATIVE))
         assert inst.goal == inst.frame.literal_set("val_a_4")
 
     @pytest.mark.parametrize("n,total", [(1, 1), (4, 10), (6, 21)])
     def test_trisum_goal_is_triangular_number(self, n, total):
-        inst = gen_trisum(n)
+        inst = generate_instance("trisum", InstanceSpec(n))
         assert inst.goal == inst.frame.literal_set(f"val_a_{total}")
 
     def test_trisum_negative_one_short(self):
-        inst = gen_trisum(4, Label.NEGATIVE)
+        inst = generate_instance("trisum", InstanceSpec(4, Label.NEGATIVE))
         assert inst.goal == inst.frame.literal_set("val_a_9")
 
 
 class TestList:
     def test_length1_visits_head_only(self):
-        inst = gen_list(1)
+        inst = generate_instance("list", InstanceSpec(1))
         assert inst.goal == inst.frame.literal_set("visited_1")
         assert execute(reference_program("list"), inst).solved
 
     def test_length5_traversal_shape(self):
-        assert execute(reference_program("list"), gen_list(5)).solved
+        inst = generate_instance("list", InstanceSpec(5))
+        assert execute(reference_program("list"), inst).solved
 
     def test_negative_interior_node_unvisited(self):
-        inst = gen_list(4, Label.NEGATIVE)
+        inst = generate_instance("list", InstanceSpec(4, Label.NEGATIVE))
         assert inst.goal == inst.frame.literal_set("visited_1", "!visited_2")
 
 
 class TestGreenBlock:
     def test_height1_collect_immediately(self):
-        inst = gen_greenblock(1)
+        inst = generate_instance("greenblock", InstanceSpec(1))
         assert execute(reference_program("greenblock"), inst).solved
 
     def test_height4_green_at_bottom(self):
-        out = execute(reference_program("greenblock"), gen_greenblock(4, green_pos=4))
+        inst = generate_instance("greenblock", InstanceSpec(4, aux=4))
+        out = execute(reference_program("greenblock"), inst)
         assert out.solved
 
     def test_negative_holds_non_green_block(self):
-        inst = gen_greenblock(3, green_pos=3, label=Label.NEGATIVE)
+        inst = generate_instance("greenblock", InstanceSpec(3, Label.NEGATIVE, aux=3))
         assert inst.goal == inst.frame.literal_set("holding_1")
 
     def test_green_position_validated(self):
         with pytest.raises(ModelError):
-            gen_greenblock(2, green_pos=5)
+            generate_instance("greenblock", InstanceSpec(2, aux=5))
 
 
 class TestCrossDomainInvariants:
@@ -137,14 +135,14 @@ class TestCrossDomainInvariants:
     def test_default_positives_bfs_solvable(self, domain):
         for size in range(min_size(domain), min_size(domain) + 3):
             inst = generate_instance(domain, InstanceSpec(size))
-            assert planner.goal_reachable(inst), (domain, size)
+            assert solve(inst, BFS_CONFIG).solved, (domain, size)
 
     @pytest.mark.parametrize("domain", DOMAIN_NAMES)
     def test_negatives_reachable_but_failed_by_reference_program(self, domain):
         program = reference_program(domain)
         for size in range(min_size(domain), min_size(domain) + 3):
             inst = generate_instance(domain, InstanceSpec(size, Label.NEGATIVE))
-            assert planner.goal_reachable(inst), (domain, size)
+            assert solve(inst, BFS_CONFIG).solved, (domain, size)
             assert not execute(program, inst).solved, (domain, size)
 
     @pytest.mark.parametrize("domain", DOMAIN_NAMES)
@@ -176,6 +174,19 @@ class TestCrossDomainInvariants:
             generate_instance(
                 "robopainter", InstanceSpec(2, goal_override=("no_such_fluent",))
             )
+
+    def test_empty_goal_override_is_an_empty_goal(self):
+        inst = generate_instance("robopainter", InstanceSpec(2, goal_override=()))
+        assert inst.goal == LiteralSet()
+        assert execute(parse_program("0. end\n"), inst).solved
+
+    def test_instance_names(self):
+        task = build_task(
+            "gripper",
+            [InstanceSpec(3), InstanceSpec(2, Label.NEGATIVE), InstanceSpec(1, name="one")],
+        )
+        names = [inst.name for inst in task.instances]
+        assert names == ["gripper-3-positive-1", "gripper-2-negative-2", "one"]
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(ModelError):

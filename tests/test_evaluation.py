@@ -10,7 +10,6 @@ from gpsyn.errors import ModelError
 from gpsyn.evaluation import (
     Classification,
     ConfusionCounts,
-    classify,
     compute_metrics,
     evaluate_test_set,
     format_metric,
@@ -20,28 +19,34 @@ from gpsyn.model import Label
 from gpsyn.program import parse_program
 
 
+def classification(program, task, index):
+    return evaluate_test_set(program, task).records[index].classification
+
+
 class TestClassify:
     def test_solved_positive_is_tp(self, corridor_task, loop_after_body_program):
-        assert classify(loop_after_body_program, corridor_task.instances[0]) \
+        assert classification(loop_after_body_program, corridor_task, 0) \
             is Classification.TRUE_POSITIVE
 
     def test_solved_negative_counts_as_false_positive(self, corridor_task, loop_from_start_program):
-        assert classify(loop_from_start_program, corridor_task.instances[2]) \
+        assert classification(loop_from_start_program, corridor_task, 2) \
             is Classification.FALSE_POSITIVE
 
     def test_unsolved_positive_counts_as_false_negative(self, corridor_task, straight_program):
-        assert classify(straight_program, corridor_task.instances[1]) \
+        assert classification(straight_program, corridor_task, 1) \
             is Classification.FALSE_NEGATIVE
 
     def test_unsolved_negative_is_tn(self, corridor_task, loop_after_body_program):
-        assert classify(loop_after_body_program, corridor_task.instances[2]) \
+        assert classification(loop_after_body_program, corridor_task, 2) \
             is Classification.TRUE_NEGATIVE
 
     def test_agrees_with_validate_program(self, corridor_task, straight_program):
         report = validate_program(straight_program, corridor_task)
-        for inst, outcome in zip(corridor_task.instances, report.outcomes):
-            cls = classify(straight_program, inst)
-            solved = cls in (Classification.TRUE_POSITIVE, Classification.FALSE_POSITIVE)
+        records = evaluate_test_set(straight_program, corridor_task).records
+        for rec, outcome in zip(records, report.outcomes, strict=True):
+            solved = rec.classification in (
+                Classification.TRUE_POSITIVE, Classification.FALSE_POSITIVE
+            )
             assert solved == outcome.solved
 
 
@@ -129,15 +134,15 @@ class TestEvaluateTestSet:
             1 for inst in task.instances
             if not inst.is_positive and not execute(program, inst).solved
         )
-        assert report.counts.p == expected_p == len(task.positives())
-        assert report.counts.n == expected_n == len(task.negatives())
+        assert report.counts.p == expected_p == task.t_positive
+        assert report.counts.n == expected_n == task.t_negative
         assert report.metrics.accuracy == 1
 
     def test_invariants_hold_on_aggregates(self, corridor_task, straight_program):
         report = evaluate_test_set(straight_program, corridor_task)
         c = report.counts
-        assert c.positives == corridor_task.t_positive
-        assert c.negatives == corridor_task.t_negative
+        assert c.p + c.n_minus == corridor_task.t_positive
+        assert c.n + c.p_minus == corridor_task.t_negative
         assert c.total == corridor_task.t_total
 
     def test_table_renders_undefined_as_dash(self):

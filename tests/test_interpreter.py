@@ -4,18 +4,24 @@ import pytest
 
 from gpsyn.errors import ExecutionResourceError
 from gpsyn.interpreter import (
-    TERMINATED,
+    ExecutionOutcome,
     FailureKind,
     ProgramState,
-    StepFailure,
     execute,
-    step,
     validate_program,
 )
 from gpsyn.model import ClassicalInstance, FrameBuilder, Label
 from gpsyn.program import parse_program
 from gpsyn.model import validate_sequential_plan
-from helpers import random_frame, random_goal, random_program, random_state
+from helpers import (
+    END,
+    random_frame,
+    random_goal,
+    random_program,
+    random_state,
+    reference_run,
+    reference_step,
+)
 
 from gpsyn.domains import InstanceSpec, build_task
 
@@ -30,36 +36,54 @@ def pick_frame():
     return b.build()
 
 
+# Jumps back to itself while at_end is false, else falls through to end.
+SELF_LOOP = "0. goto(0,!at_end)\n1. end\n"
+
+
 class TestStep:
+    """Single steps of the reference stepper, traced by hand, each next to
+    the ``execute`` outcome that shows the same step."""
+
     def test_end_terminates(self, corridor_task, straight_program):
         ps = ProgramState(corridor_task.instances[0].init, 3)
-        assert step(straight_program, corridor_task.frame, ps) is TERMINATED
+        assert reference_step(straight_program, corridor_task.frame, ps) is END
+        out = execute(straight_program, corridor_task.instances[0])
+        assert out == ExecutionOutcome(solved=True, steps=3)
 
     def test_goto_jumps_when_fluent_false(self, corridor_task, loop_after_body_program):
-        init = corridor_task.instances[1].init  # 6x1: at_end false
-        ps = ProgramState(init, 3)
-        out = step(loop_after_body_program, corridor_task.frame, ps)
-        assert out == ProgramState(init, 0)
+        inst = corridor_task.instances[1]  # 6x1: at_end false
+        ps = ProgramState(inst.init, 3)
+        out = reference_step(loop_after_body_program, corridor_task.frame, ps)
+        assert out == ProgramState(inst.init, 0)
+        out = execute(parse_program(SELF_LOOP), inst)
+        assert out.failure is FailureKind.INFINITE_LOOP
+        assert (out.steps, out.repeat_state) == (1, ProgramState(inst.init, 0))
 
     def test_goto_falls_through_when_fluent_true(self, corridor_task, loop_after_body_program):
-        init = corridor_task.instances[2].init  # 1x1: at_end true
-        out = step(loop_after_body_program, corridor_task.frame, ProgramState(init, 3))
-        assert out == ProgramState(init, 4)
+        inst = corridor_task.instances[2]  # 1x1: at_end true
+        ps = ProgramState(inst.init, 3)
+        out = reference_step(loop_after_body_program, corridor_task.frame, ps)
+        assert out == ProgramState(inst.init, 4)
+        out = execute(parse_program(SELF_LOOP), inst)
+        assert out == ExecutionOutcome(solved=True, steps=1)
 
     def test_act_advances_counter(self, corridor_task, straight_program):
-        init = corridor_task.instances[0].init
-        out = step(straight_program, corridor_task.frame, ProgramState(init, 0))
+        inst = corridor_task.instances[0]
+        out = reference_step(straight_program, corridor_task.frame, ProgramState(inst.init, 0))
         assert out.pc == 1
         assert out.state.value(corridor_task.frame.fluent_id("painted_1"))
+        # Had paint not set painted_1, line 1 would loop on itself.
+        prog = parse_program("0. paint\n1. goto(1,!painted_1)\n2. end\n")
+        assert execute(prog, inst) == ExecutionOutcome(False, 2, FailureKind.INCOMPLETE)
 
     def test_inapplicable_action_reports_line_and_name(self, pick_frame):
         prog = parse_program("0. pick\n1. pick\n2. end\n")
         inst = ClassicalInstance(
             pick_frame, "p", pick_frame.state(["free"]), pick_frame.literal_set("have")
         )
-        first = step(prog, pick_frame, ProgramState(inst.init, 0))
-        failure = step(prog, pick_frame, ProgramState(first.state, 1))
-        assert failure == StepFailure(line=1, action="pick")
+        first = reference_step(prog, pick_frame, ProgramState(inst.init, 0))
+        assert reference_step(prog, pick_frame, first) == (1, "pick")
+        assert execute(prog, inst) == reference_run(prog, inst)
 
 
 class TestExecute:
@@ -103,7 +127,7 @@ class TestExecute:
         ps = out.repeat_state
         frame = corridor_task.frame
         for _ in range(out.steps + 1):
-            ps = step(prog, frame, ps)
+            ps = reference_step(prog, frame, ps)
             if ps == out.repeat_state:
                 break
         assert ps == out.repeat_state
@@ -130,9 +154,9 @@ class TestExecute:
             out = execute(prog, inst)  # must return, never hang
             assert out.solved or out.failure is not None
 
-    def test_step_fold_agrees_with_execute(self):
-        # Differential: folding step from (init, 0) until end, an inapplicable
-        # act or a repeated program state must reproduce execute's outcome.
+    def test_reference_stepper_agrees_with_execute(self):
+        # Differential: the reference stepper (program lines, model.successor,
+        # no bound ops) must reproduce every field of execute's outcome.
         rng = random.Random(41)
         kinds = set()
         for _ in range(300):
@@ -142,27 +166,7 @@ class TestExecute:
                 frame, "r", random_state(rng, frame), random_goal(rng, frame)
             )
             out = execute(prog, inst)
-            ps, steps, seen = ProgramState(inst.init, 0), 0, set()
-            while True:
-                seen.add(ps)
-                nxt = step(prog, frame, ps)
-                if not isinstance(nxt, ProgramState):
-                    break
-                ps = nxt
-                steps += 1
-                if ps in seen:
-                    break
-            assert out.steps == steps
-            if nxt is TERMINATED:
-                solved = inst.goal.holds_in(ps.state)
-                assert out.solved == solved
-                assert out.failure is (None if solved else FailureKind.INCOMPLETE)
-            elif isinstance(nxt, StepFailure):
-                assert out.failure is FailureKind.INAPPLICABLE
-                assert (out.line, out.action) == (nxt.line, nxt.action)
-            else:
-                assert out.failure is FailureKind.INFINITE_LOOP
-                assert out.repeat_state == ps
+            assert out == reference_run(prog, inst)
             kinds.add(out.failure)
         assert kinds == {None, *FailureKind}
 

@@ -13,9 +13,8 @@ from gpsyn.model import (
     Literal,
     LiteralSet,
     State,
-    is_applicable,
     successor,
-    triggered_effects,
+    triggered_masks,
     validate_sequential_plan,
 )
 from helpers import random_frame, random_state
@@ -34,21 +33,16 @@ class TestLiteralSet:
             LiteralSet(pos=0b01, neg=0b01)
 
     def test_union_detects_conflict(self):
-        a = LiteralSet.from_literals([Literal(0, True)])
-        b = LiteralSet.from_literals([Literal(0, False)])
+        a = LiteralSet(pos=0b1)
+        b = LiteralSet(neg=0b1)
         with pytest.raises(ConflictError):
             a.union(b)
 
     def test_union_merges(self):
-        a = LiteralSet.from_literals([Literal(0, True), Literal(2, False)])
-        b = LiteralSet.from_literals([Literal(1, True)])
+        a = LiteralSet(pos=0b001, neg=0b100)
+        b = LiteralSet(pos=0b010)
         merged = a.union(b)
         assert set(merged.literals()) == {Literal(0), Literal(1), Literal(2, False)}
-
-    def test_negate_is_involution(self):
-        ls = LiteralSet(pos=0b101, neg=0b010)
-        assert ls.negate().negate() == ls
-        assert ls.negate().pos == 0b010
 
     @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
     def test_union_consistency_closed_only_when_checked(self, pos, neg):
@@ -63,14 +57,15 @@ class TestApplicability:
         b.fluent("at_0")
         b.action("inc", pre=["at_0"], cond=[([], ["!at_0"])])
         frame = b.build()
-        assert is_applicable(frame.state(["at_0"]), frame.action("inc"))
-        assert not is_applicable(frame.state([]), frame.action("inc"))
+        pre = frame.action("inc").pre
+        assert pre.holds(frame.state(["at_0"]).bits)
+        assert not pre.holds(frame.state([]).bits)
 
     def test_empty_precondition_always_applicable(self, rp6):
         paint = rp6.action("paint")
         rng = random.Random(0)
         for _ in range(20):
-            assert is_applicable(random_state(rng, rp6), paint)
+            assert paint.pre.holds(random_state(rng, rp6).bits)
 
 
 class TestTriggeredEffects:
@@ -79,7 +74,7 @@ class TestTriggeredEffects:
         b.fluent("painted_0")
         b.action("paint", cond=[([], ["painted_0"])])
         frame = b.build()
-        eff = triggered_effects(frame.state([]), frame.action("paint"))
+        eff = LiteralSet(*triggered_masks(frame.state([]).bits, frame.action("paint")))
         assert eff == frame.literal_set("painted_0")
 
     def test_only_matching_condition_fires(self):
@@ -88,7 +83,7 @@ class TestTriggeredEffects:
         b.fluent("painted_0"), b.fluent("painted_1")
         b.action("paint", cond=[(["at_0"], ["painted_0"]), (["at_1"], ["painted_1"])])
         frame = b.build()
-        eff = triggered_effects(frame.state(["at_0"]), frame.action("paint"))
+        eff = LiteralSet(*triggered_masks(frame.state(["at_0"]).bits, frame.action("paint")))
         assert eff == frame.literal_set("painted_0")
 
     def test_conflicting_triggered_effects_raise(self):
@@ -97,9 +92,10 @@ class TestTriggeredEffects:
         b.action("bad", cond=[(["a"], ["b"]), ([], ["!b"])])
         frame = b.build()
         with pytest.raises(ConflictError):
-            triggered_effects(frame.state(["a"]), frame.action("bad"))
+            triggered_masks(frame.state(["a"]).bits, frame.action("bad"))
         # consistent when only one branch fires
-        assert triggered_effects(frame.state([]), frame.action("bad")) == frame.literal_set("!b")
+        eff = LiteralSet(*triggered_masks(frame.state([]).bits, frame.action("bad")))
+        assert eff == frame.literal_set("!b")
 
     def test_compiled_compare_sets_correct_flag(self, corridor_task, loop_after_body_program):
         # One compare step traced by hand: a fluent true in both the current
@@ -117,9 +113,8 @@ class TestTriggeredEffects:
         bits |= 1 << compiled.frame.fluent_id("stored")
         bits |= 1 << compiled.frame.fluent_id("acted")
         assert bits >> f & 1
-        state = State(bits, compiled.frame.width)
-        eff = triggered_effects(state, compare)
-        assert eff.pos >> compiled.frame.fluent_id("correct_at_1") & 1
+        pos, _ = triggered_masks(bits, compare)
+        assert pos >> compiled.frame.fluent_id("correct_at_1") & 1
 
 
 class TestSuccessor:
@@ -157,12 +152,12 @@ class TestSuccessor:
             frame = random_frame(rng, rng.randint(2, 6), rng.randint(1, 3))
             s = random_state(rng, frame)
             for action in frame.actions:
-                if not is_applicable(s, action):
+                if not action.pre.holds(s.bits):
                     continue
-                eff = triggered_effects(s, action)
+                pos, neg = triggered_masks(s.bits, action)
                 s2 = successor(s, action)
                 assert s2.width == frame.width
-                untouched = ~(eff.pos | eff.neg)
+                untouched = ~(pos | neg)
                 assert s.bits & untouched == s2.bits & untouched
 
 
@@ -208,10 +203,10 @@ class TestValidateSequentialPlan:
         rng = random.Random(11)
         for _ in range(100):
             frame = random_frame(rng, rng.randint(2, 5), rng.randint(1, 3))
-            inst = ClassicalInstance(
-                frame, "t", random_state(rng, frame),
-                LiteralSet.from_literals([Literal(rng.randrange(frame.width), rng.random() < 0.5)]),
-            )
+            init = random_state(rng, frame)
+            bit, positive = 1 << rng.randrange(frame.width), rng.random() < 0.5
+            goal = LiteralSet(pos=bit) if positive else LiteralSet(neg=bit)
+            inst = ClassicalInstance(frame, "t", init, goal)
             plan = [rng.choice(frame.actions) for _ in range(rng.randint(0, 6))]
             try:
                 expected = naive_run(inst, plan)
@@ -226,6 +221,15 @@ class TestContainers:
         b.fluent("x")
         with pytest.raises(ModelError):
             b.fluent("x")
+
+    def test_unknown_fluent_text_is_model_error(self):
+        b = FrameBuilder()
+        b.fluent("x")
+        with pytest.raises(ModelError, match="unknown fluent 'y'"):
+            b.action("a", pre=["x"], cond=[(["!y"], ["x"])])
+        b.action("a", cond=[([], ["!x"])])
+        with pytest.raises(ModelError, match="unknown fluent 'y'"):
+            b.build().literal_set("x", "y")
 
     def test_frame_rejects_out_of_range_references(self):
         from gpsyn.model import Action, Fluent, Frame

@@ -10,7 +10,6 @@ from gpsyn.model import (
     FrameBuilder,
     Label,
     Literal,
-    is_applicable,
     successor,
     validate_sequential_plan,
 )
@@ -68,12 +67,12 @@ def shortest_distance(inst):
     """Plan length to the goal by level-by-level expansion, or None."""
     level, seen, depth = {inst.init}, {inst.init}, 0
     while level:
-        if any(inst.goal.holds_in(state) for state in level):
+        if any(inst.goal.holds(state.bits) for state in level):
             return depth
         following = set()
         for state in level:
             for action in inst.frame.actions:
-                if is_applicable(state, action):
+                if action.pre.holds(state.bits):
                     child = successor(state, action)
                     if child not in seen:
                         seen.add(child)
@@ -224,7 +223,7 @@ def bfs_states(inst, limit):
     while queue and len(order) < limit:
         state = queue.popleft()
         for action in inst.frame.actions:
-            if is_applicable(state, action):
+            if action.pre.holds(state.bits):
                 child = successor(state, action)
                 if child not in seen:
                     seen.add(child)
@@ -327,12 +326,12 @@ class TestHAdd:
             assert result.solved
 
 
-def test_goal_reachable_helper():
+def test_bfs_decides_reachability():
     task = build_task("robopainter", [InstanceSpec(2, Label.NEGATIVE)])
-    assert planner.goal_reachable(task.instances[0])
+    assert solve(task.instances[0], BFS_CONFIG).solved
     b = FrameBuilder()
     b.fluent("x")
     b.action("noop", cond=[(["x"], ["x"])])
     frame = b.build()
     dead = ClassicalInstance(frame, "d", frame.state([]), frame.literal_set("x"))
-    assert not planner.goal_reachable(dead)
+    assert solve(dead, BFS_CONFIG).status is SolveStatus.PROVED_UNSOLVABLE

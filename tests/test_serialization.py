@@ -133,8 +133,10 @@ class TestPddl:
             corridor_pair.instances[0], tmp_path, "rp2"
         )
         assert domain_path.exists() and problem_path.exists()
-        inst = pddl.read_files(domain_path, problem_path)
+        frame = pddl.read_domain(domain_path.read_text())
+        inst = pddl.read_problem(problem_path.read_text(), frame)
         assert inst.init == corridor_pair.instances[0].init
+        assert inst.goal == corridor_pair.instances[0].goal
 
     def test_reader_rejects_non_ground(self):
         text = """(define (domain bad)
@@ -142,6 +144,17 @@ class TestPddl:
             )"""
         with pytest.raises(ParseError):
             pddl.read_domain(text)
+
+    def test_reader_reports_unknown_fluents_as_parse_errors(self):
+        domain = """(define (domain d) (:predicates (a))
+            (:action x :parameters () :precondition (and (b)) :effect (and (a))))"""
+        with pytest.raises(ParseError, match="unknown fluent 'b'"):
+            pddl.read_domain(domain)
+        frame = pddl.read_domain(domain.replace("(b)", "(a)"))
+        for init, goal in (("(z)", "(a)"), ("(a)", "(not (z))")):
+            problem = f"(define (problem p) (:domain d) (:init {init}) (:goal (and {goal})))"
+            with pytest.raises(ParseError, match="unknown fluent 'z'"):
+                pddl.read_problem(problem, frame)
 
     def test_reader_rejects_garbage(self):
         with pytest.raises(ParseError):
