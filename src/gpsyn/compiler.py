@@ -35,13 +35,10 @@ from .errors import MalformedPlanError, ModelError, VariantMismatchError
 from .interpreter import FailureKind
 from .model import (
     Action,
-    ConditionalEffect,
-    Fluent,
     Frame,
     GeneralizedProblem,
     Label,
     LiteralSet,
-    State,
     validate_sequential_plan,
 )
 from .program import (
@@ -95,14 +92,13 @@ class CompiledInstance:
     """Output of a compilation: a classical instance plus decode metadata."""
 
     frame: Frame
-    init: State
+    init: int
     goal: LiteralSet
     variant: Variant
     lines: int
     instance_names: tuple[str, ...]
     labels: tuple[Label, ...]
     roles: tuple[Role, ...]
-    families: dict
 
     @property
     def name(self) -> str:
@@ -161,11 +157,10 @@ class _Builder:
         self.with_gadget = variant is not Variant.SYNTH_POSITIVE
         self.with_negex = variant is Variant.SYNTH_PN
 
-        self.fluents: list[Fluent] = []
+        self.fluents: list[str] = []
         self.ids: dict[str, int] = {}
         self.actions: list[Action] = []
         self.roles: list[Role] = []
-        self.families: dict = {}
 
     # -- fluent table -------------------------------------------------------
 
@@ -175,7 +170,7 @@ class _Builder:
                 f"compiled fluent name collision: {name!r} (rename the base fluent)"
             )
         idx = len(self.fluents)
-        self.fluents.append(Fluent(idx, name))
+        self.fluents.append(name)
         self.ids[name] = idx
         return idx
 
@@ -184,21 +179,18 @@ class _Builder:
         targets = range(self.n + 1) if self.allow_forward else range(i)
         out = [ActInstruction(act.name) for act in self.base.actions]
         out += [
-            GotoInstruction(target, fl.name) for target in targets for fl in self.base.fluents
+            GotoInstruction(target, name) for target in targets for name in self.base.fluents
         ]
         if self.whitelist is not None:
             out = [ins for ins in out if ins in self.whitelist]
         return out + [EndInstruction()]
 
     def build_fluents(self) -> None:
-        for fl in self.base.fluents:
-            self._add_fluent(fl.name)
-        self.families["base"] = list(range(self.base.width))
+        for name in self.base.fluents:
+            self._add_fluent(name)
         self.pc = [self._add_fluent(f"pc_{i}") for i in range(self.n + 1)]
-        self.families["pc"] = list(self.pc)
         self.ins: list[dict[Instruction, int]] = []
         self.nil: list[int] = []
-        ins_ids = []
         self.line_universe = [self._line_universe(i) for i in range(self.n + 1)]
         for i in range(self.n + 1):
             table = {}
@@ -206,27 +198,16 @@ class _Builder:
                 table[ins] = self._add_fluent(f"ins_{i}_{instruction_slug(ins)}")
             self.ins.append(table)
             self.nil.append(self._add_fluent(f"ins_{i}_nil"))
-            ins_ids.extend(table.values())
-            ins_ids.append(self.nil[i])
-        self.families["ins"] = ins_ids
         self.test = [self._add_fluent(f"test_{t}") for t in range(1, self.T + 1)]
-        self.families["test"] = list(self.test)
         self.done = self._add_fluent("done")
-        self.families["done"] = [self.done]
         if self.with_gadget:
             self.flag = {name: self._add_fluent(name) for name in _FLAGS}
-            self.families["flags"] = list(self.flag.values())
             watched = list(range(self.base.width)) + self.pc
             self.watched = watched
-            self.copy = {f: self._add_fluent(f"copy_{self.fluents[f].name}") for f in watched}
-            self.correct = {
-                f: self._add_fluent(f"correct_{self.fluents[f].name}") for f in watched
-            }
-            self.families["copy"] = list(self.copy.values())
-            self.families["correct"] = list(self.correct.values())
+            self.copy = {f: self._add_fluent(f"copy_{self.fluents[f]}") for f in watched}
+            self.correct = {f: self._add_fluent(f"correct_{self.fluents[f]}") for f in watched}
         if self.with_negex:
             self.negex = self._add_fluent("negex")
-            self.families["negex"] = [self.negex]
 
     # -- literal helpers ----------------------------------------------------
 
@@ -253,8 +234,8 @@ class _Builder:
         inst = self.gp.instances[next_t - 1]
         width = self.base.width
         mask = (1 << width) - 1
-        pos = inst.init.bits
-        neg = mask & ~inst.init.bits
+        pos = inst.init
+        neg = mask & ~inst.init
         pos |= 1 << self.pc[0]
         for j in range(1, self.n + 1):
             neg |= 1 << self.pc[j]
@@ -291,7 +272,7 @@ class _Builder:
     # -- action constructors ------------------------------------------------
 
     def _add_action(self, role: Role, pre: LiteralSet, cond) -> None:
-        effects = tuple(ConditionalEffect(c, e) for c, e in cond if e)
+        effects = tuple((c.pos, c.neg, e.pos, e.neg) for c, e in cond if e)
         self.actions.append(Action(role.name, pre, effects))
         self.roles.append(role)
 
@@ -311,7 +292,10 @@ class _Builder:
         cond: list[tuple[LiteralSet, LiteralSet]] = []
         if isinstance(ins, ActInstruction):
             base_act = self.base.action(ins.action)
-            cond.extend((ce.condition, ce.effect) for ce in base_act.cond)
+            cond.extend(
+                (LiteralSet(cpos, cneg), LiteralSet(epos, eneg))
+                for cpos, cneg, epos, eneg in base_act.cond
+            )
             move = self._ls(pos=[self.pc[i + 1]] + decor_pos, neg=[self.pc[i]] + decor_neg)
             cond.append((LiteralSet(), move))
         elif isinstance(ins, GotoInstruction):
@@ -436,8 +420,8 @@ class _Builder:
                     if programming or t is None or self.gp.instances[t - 1].is_positive:
                         self._exec_action(ins, i, t)
 
-    def _init_state(self) -> State:
-        bits = self.gp.instances[0].init.bits
+    def _init_state(self) -> int:
+        bits = self.gp.instances[0].init
         bits |= 1 << self.pc[0]
         bits |= 1 << self.test[0]
         written = () if self.program is None else self.program.lines
@@ -447,7 +431,7 @@ class _Builder:
             bits |= 1 << self.nil[i]
         if self.with_negex and self.gp.instances[0].label is Label.NEGATIVE:
             bits |= 1 << self.negex
-        return State(bits, len(self.fluents))
+        return bits
 
     def build(self) -> CompiledInstance:
         self.build_fluents()
@@ -467,7 +451,6 @@ class _Builder:
             instance_names=tuple(inst.name for inst in self.gp.instances),
             labels=tuple(inst.label for inst in self.gp.instances),
             roles=tuple(self.roles),
-            families=self.families,
         )
 
 

@@ -13,10 +13,6 @@ class ConflictError(ModelError):
     """Two literals (or two triggered effects) assert opposite polarities."""
 
 
-class InapplicableActionError(GpsynError):
-    """An action was applied in a state that violates its precondition."""
-
-
 class VariantMismatchError(GpsynError):
     """A compilation was requested for inputs its variant does not accept."""
 

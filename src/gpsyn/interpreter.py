@@ -1,9 +1,10 @@
 """Direct execution of planning programs with exact failure classification.
 
 Execution is deterministic over the finite space of program states
-``(state, pc)``, so nontermination is equivalent to revisiting a program
-state. :func:`execute` is one loop over the program's bound ops: it keeps an
-exact visited set (state bits, pc), applies actions through
+``(bits, pc)``, a state bitmask paired with the program counter, so
+nontermination is equivalent to revisiting a program state. :func:`execute`
+is one loop over the program's bound ops: it keeps an exact visited set of
+program states, applies actions through
 :func:`gpsyn.model.successor_bits`, and classifies every failure as one of:
 incomplete program, inapplicable action, or infinite loop.
 """
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ExecutionResourceError
-from .model import ClassicalInstance, Frame, GeneralizedProblem, State, successor_bits
+from .model import ClassicalInstance, Frame, GeneralizedProblem, successor_bits
 from .program import ActInstruction, GotoInstruction, Program
 
 # Cap on distinct program states remembered per execution (configurable).
@@ -31,9 +32,9 @@ class FailureKind(Enum):
 
 @dataclass(frozen=True)
 class ProgramState:
-    """A planning state paired with the program counter."""
+    """A state bitmask paired with the program counter."""
 
-    state: State
+    bits: int
     pc: int
 
 
@@ -95,7 +96,7 @@ def execute(
 ) -> ExecutionOutcome:
     """Run ``program`` from ``(instance.init, 0)`` to one of the outcomes."""
     ops = bind_program(program, instance.frame)
-    bits, pc = instance.init.bits, 0
+    bits, pc = instance.init, 0
     steps = 0
     seen = {(bits, pc)}
     while True:
@@ -130,7 +131,7 @@ def execute(
                 steps=steps,
                 failure=FailureKind.INFINITE_LOOP,
                 repeat_step=steps,
-                repeat_state=ProgramState(State(bits, instance.init.width), pc),
+                repeat_state=ProgramState(bits, pc),
             )
         if len(seen) >= state_cap:
             raise ExecutionResourceError(

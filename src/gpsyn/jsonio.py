@@ -32,33 +32,29 @@ from typing import Any
 from .errors import ParseError
 from .model import (
     ClassicalInstance,
-    Frame,
     FrameBuilder,
     GeneralizedProblem,
     Label,
     LiteralSet,
+    bit_ids,
 )
-
-
-def _literal_texts(ls: LiteralSet, frame: Frame) -> list[str]:
-    return [lit.render(frame) for lit in ls.literals()]
 
 
 def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -> dict:
     frame = problem.frame
     doc: dict[str, Any] = {
         "frame": {
-            "fluents": [fl.name for fl in frame.fluents],
+            "fluents": list(frame.fluents),
             "actions": [
                 {
                     "name": act.name,
-                    "pre": _literal_texts(act.pre, frame),
+                    "pre": act.pre.texts(frame),
                     "effects": [
                         {
-                            "when": _literal_texts(ce.condition, frame),
-                            "then": _literal_texts(ce.effect, frame),
+                            "when": LiteralSet(cpos, cneg).texts(frame),
+                            "then": LiteralSet(epos, eneg).texts(frame),
                         }
-                        for ce in act.cond
+                        for cpos, cneg, epos, eneg in act.cond
                     ],
                 }
                 for act in frame.actions
@@ -68,8 +64,8 @@ def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -
             {
                 "name": inst.name,
                 "label": inst.label.value,
-                "init": [frame.fluents[f].name for f in inst.init.true_fluents()],
-                "goal": _literal_texts(inst.goal, frame),
+                "init": [frame.fluents[f] for f in bit_ids(inst.init)],
+                "goal": inst.goal.texts(frame),
             }
             for inst in problem.instances
         ],

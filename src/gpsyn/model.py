@@ -1,13 +1,14 @@
 """Propositional planning model with conditional effects.
 
-Fluents are densely indexed; states are fixed-width bit vectors (one bit per
-fluent) and literal sets are pairs of bitmasks (asserted-true, asserted-false).
-Compiled instances produced by :mod:`gpsyn.compiler` reuse these types, so the
-representation has to stay cheap at a few hundred fluents.
+Fluents are names, indexed by their position in :attr:`Frame.fluents`. A
+state is an int bitmask whose bit ``f`` is set iff fluent ``f`` is true. A
+literal set is a pair of bitmasks (asserted-true, asserted-false), and an
+action's conditional effects are ``(cond.pos, cond.neg, eff.pos, eff.neg)``
+mask tuples. Compiled instances produced by :mod:`gpsyn.compiler` reuse these
+types, so the representation has to stay cheap at a few hundred fluents.
 
 Conditions are tested on state bitmasks with :meth:`LiteralSet.holds`, and
-:func:`successor_bits` is the one successor function; :func:`successor` and
-:meth:`State.value` are conveniences over the same bits.
+:func:`successor_bits` is the one successor function.
 
 All types are immutable values after construction and safe to share.
 """
@@ -17,29 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import ConflictError, InapplicableActionError, ModelError
-
-
-@dataclass(frozen=True)
-class Fluent:
-    """A propositional state variable, identified by a dense index."""
-
-    index: int
-    name: str
-
-
-@dataclass(frozen=True)
-class Literal:
-    """A fluent with a polarity."""
-
-    fluent: int
-    positive: bool = True
-
-    def render(self, frame: "Frame") -> str:
-        name = frame.fluents[self.fluent].name
-        return name if self.positive else "!" + name
+from .errors import ConflictError, ModelError
 
 
 class LiteralSet:
@@ -59,11 +40,11 @@ class LiteralSet:
         self.pos = pos
         self.neg = neg
 
-    def literals(self) -> Iterator[Literal]:
-        for f in bit_ids(self.pos):
-            yield Literal(f, True)
-        for f in bit_ids(self.neg):
-            yield Literal(f, False)
+    def texts(self, frame: "Frame") -> list[str]:
+        """The literals as ``"name"`` / ``"!name"`` texts, the inverse of
+        :meth:`Frame.literal_set`: the true ones first, each in fluent order."""
+        names = frame.fluents
+        return [names[f] for f in bit_ids(self.pos)] + ["!" + names[f] for f in bit_ids(self.neg)]
 
     def union(self, other: "LiteralSet") -> "LiteralSet":
         """Combine two literal sets, raising :class:`ConflictError` on clash."""
@@ -77,9 +58,6 @@ class LiteralSet:
     def holds(self, bits: int) -> bool:
         """True iff every literal holds in the state bitmask ``bits``."""
         return (bits & self.pos) == self.pos and (bits & self.neg) == 0
-
-    def render(self, frame: "Frame") -> str:
-        return "{" + ", ".join(l.render(frame) for l in self.literals()) + "}"
 
     def __len__(self) -> int:
         return (self.pos | self.neg).bit_count()
@@ -101,87 +79,42 @@ class LiteralSet:
         return f"LiteralSet(pos={self.pos:#x}, neg={self.neg:#x})"
 
 
-class State:
-    """A total assignment over a frame's fluents, as a width-checked bitmask."""
-
-    __slots__ = ("bits", "width")
-
-    def __init__(self, bits: int, width: int):
-        if bits >> width:
-            raise ModelError(f"state bits {bits:#x} exceed width {width}")
-        self.bits = bits
-        self.width = width
-
-    def value(self, fluent: int) -> bool:
-        if fluent >= self.width:
-            raise ModelError(f"fluent id {fluent} out of range for width {self.width}")
-        return bool(self.bits >> fluent & 1)
-
-    def true_fluents(self) -> Iterator[int]:
-        return bit_ids(self.bits)
-
-    def render(self, frame: "Frame") -> str:
-        return "{" + ", ".join(frame.fluents[f].name for f in self.true_fluents()) + "}"
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, State)
-            and self.bits == other.bits
-            and self.width == other.width
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.bits, self.width))
-
-    def __repr__(self) -> str:
-        return f"State({self.bits:#x}, width={self.width})"
-
-
-@dataclass(frozen=True)
-class ConditionalEffect:
-    """A ``condition -> effect`` pair; the effect fires when the condition holds."""
-
-    condition: LiteralSet
-    effect: LiteralSet
-
-    def __post_init__(self):
-        if not self.effect:
-            raise ModelError("conditional effect with empty effect set")
-
-
 @dataclass(frozen=True)
 class Action:
-    """A ground action: precondition plus a set of conditional effects."""
+    """A ground action: a precondition plus conditional effects, each a
+    ``(cond.pos, cond.neg, eff.pos, eff.neg)`` mask tuple whose effect fires
+    when its condition holds."""
 
     name: str
     pre: LiteralSet
-    cond: tuple[ConditionalEffect, ...]
+    cond: tuple[tuple[int, int, int, int], ...]
 
-    @cached_property
-    def branches(self) -> tuple[tuple[int, int, int, int], ...]:
-        """``cond`` flattened once into ``(cond.pos, cond.neg, eff.pos,
-        eff.neg)`` mask tuples for :func:`triggered_masks`."""
-        return tuple(
-            (ce.condition.pos, ce.condition.neg, ce.effect.pos, ce.effect.neg)
-            for ce in self.cond
-        )
+    def __post_init__(self):
+        for cpos, cneg, epos, eneg in self.cond:
+            if not epos | eneg:
+                raise ModelError(f"action {self.name!r}: conditional effect with empty effect set")
+            if cpos & cneg or epos & eneg:
+                raise ConflictError(
+                    f"action {self.name!r}: conditional effect assigns both polarities "
+                    f"to fluents {bit_ids(cpos & cneg | epos & eneg)}"
+                )
 
 
 @dataclass(frozen=True)
 class Frame:
     """Shared fluent and action sets for a family of instances."""
 
-    fluents: tuple[Fluent, ...]
+    fluents: tuple[str, ...]
     actions: tuple[Action, ...]
 
     def __post_init__(self):
         names = set()
-        for i, fl in enumerate(self.fluents):
-            if fl.index != i:
-                raise ModelError(f"fluent ids not contiguous: {fl.name} has {fl.index} at {i}")
-            if fl.name in names:
-                raise ModelError(f"duplicate fluent name {fl.name!r}")
-            names.add(fl.name)
+        for name in self.fluents:
+            if name in names:
+                raise ModelError(f"duplicate fluent name {name!r}")
+            if name.startswith("!"):
+                raise ModelError(f"fluent name {name!r} starts with the negation mark '!'")
+            names.add(name)
         width = len(self.fluents)
         seen = set()
         for act in self.actions:
@@ -189,8 +122,8 @@ class Frame:
                 raise ModelError(f"duplicate action name {act.name!r}")
             seen.add(act.name)
             masks = [act.pre.pos, act.pre.neg]
-            for ce in act.cond:
-                masks += [ce.condition.pos, ce.condition.neg, ce.effect.pos, ce.effect.neg]
+            for branch in act.cond:
+                masks += branch
             for m in masks:
                 if m >> width:
                     raise ModelError(f"action {act.name!r} references fluents outside frame")
@@ -201,7 +134,7 @@ class Frame:
 
     @cached_property
     def _fluent_ids(self) -> dict:
-        return {fl.name: fl.index for fl in self.fluents}
+        return {name: f for f, name in enumerate(self.fluents)}
 
     @cached_property
     def _actions_by_name(self) -> dict:
@@ -229,11 +162,12 @@ class Frame:
         """Parse ``"name"`` / ``"!name"`` texts into a literal set."""
         return _literal_set(texts, self._fluent_ids)
 
-    def state(self, true_names: Iterable[str]) -> State:
+    def state(self, true_names: Iterable[str]) -> int:
+        """The state bitmask in which exactly ``true_names`` hold."""
         bits = 0
         for name in true_names:
             bits |= 1 << self.fluent_id(name)
-        return State(bits, self.width)
+        return bits
 
 
 def _literal_set(texts: Iterable[str], ids: dict) -> LiteralSet:
@@ -254,7 +188,7 @@ class FrameBuilder:
     """Incremental construction of a frame from fluent/action descriptions."""
 
     def __init__(self):
-        self._fluents: list[Fluent] = []
+        self._fluents: list[str] = []
         self._ids: dict[str, int] = {}
         self._actions: list[Action] = []
 
@@ -262,7 +196,7 @@ class FrameBuilder:
         if name in self._ids:
             raise ModelError(f"duplicate fluent name {name!r}")
         idx = len(self._fluents)
-        self._fluents.append(Fluent(idx, name))
+        self._fluents.append(name)
         self._ids[name] = idx
         return idx
 
@@ -272,11 +206,11 @@ class FrameBuilder:
         pre: Iterable[str] = (),
         cond: Iterable[tuple[Iterable[str], Iterable[str]]] = (),
     ) -> None:
-        effects = tuple(
-            ConditionalEffect(_literal_set(c, self._ids), _literal_set(e, self._ids))
-            for c, e in cond
-        )
-        self._actions.append(Action(name, _literal_set(pre, self._ids), effects))
+        effects = []
+        for c, e in cond:
+            when, then = _literal_set(c, self._ids), _literal_set(e, self._ids)
+            effects.append((when.pos, when.neg, then.pos, then.neg))
+        self._actions.append(Action(name, _literal_set(pre, self._ids), tuple(effects)))
 
     def build(self) -> Frame:
         return Frame(tuple(self._fluents), tuple(self._actions))
@@ -293,13 +227,13 @@ class ClassicalInstance:
 
     frame: Frame
     name: str
-    init: State
+    init: int
     goal: LiteralSet
     label: Label = Label.POSITIVE
 
     def __post_init__(self):
-        if self.init.width != self.frame.width:
-            raise ModelError(f"instance {self.name!r}: init width mismatch")
+        if self.init >> self.frame.width:
+            raise ModelError(f"instance {self.name!r}: init references fluents outside the frame")
         if (self.goal.pos | self.goal.neg) >> self.frame.width:
             raise ModelError(f"instance {self.name!r}: goal references unknown fluents")
 
@@ -354,7 +288,7 @@ def triggered_masks(bits: int, action: Action) -> tuple[int, int]:
     and must not be papered over.
     """
     pos = neg = 0
-    for cpos, cneg, epos, eneg in action.branches:
+    for cpos, cneg, epos, eneg in action.cond:
         if (bits & cpos) == cpos and not bits & cneg:
             pos |= epos
             neg |= eneg
@@ -374,20 +308,13 @@ def successor_bits(bits: int, action: Action) -> int:
     return (bits | pos) & ~neg
 
 
-def successor(state: State, action: Action) -> State:
-    """The state after applying ``action``, which must be applicable."""
-    if not action.pre.holds(state.bits):
-        raise InapplicableActionError(f"action {action.name!r} not applicable")
-    return State(successor_bits(state.bits, action), state.width)
-
-
 def validate_sequential_plan(problem, plan: PlanLike) -> bool:
     """True iff every action applies in sequence and the goal holds at the end.
 
     ``problem`` needs ``frame``/``init``/``goal``, so both classical and
     compiled instances work. Inapplicability yields ``False``, not an error.
     """
-    bits = problem.init.bits
+    bits = problem.init
     for entry in plan:
         action = problem.frame.actions[entry] if isinstance(entry, int) else entry
         if not action.pre.holds(bits):

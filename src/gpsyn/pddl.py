@@ -21,6 +21,7 @@ from .model import (
     FrameBuilder,
     Label,
     LiteralSet,
+    bit_ids,
 )
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
@@ -33,27 +34,26 @@ def _check_name(name: str) -> str:
 
 
 def _literal_sexp(ls: LiteralSet, frame: Frame) -> list[str]:
-    parts = []
-    for lit in ls.literals():
-        name = frame.fluents[lit.fluent].name
-        parts.append(f"({name})" if lit.positive else f"(not ({name}))")
-    return parts
+    return [
+        f"(not ({text[1:]}))" if text.startswith("!") else f"({text})"
+        for text in ls.texts(frame)
+    ]
 
 
 def write_domain(frame: Frame, domain_name: str = "gpsyn-domain") -> str:
     lines = [f"(define (domain {_check_name(domain_name)})"]
     lines.append("  (:requirements :strips :negative-preconditions :conditional-effects)")
-    preds = " ".join(f"({_check_name(fl.name)})" for fl in frame.fluents)
+    preds = " ".join(f"({_check_name(name)})" for name in frame.fluents)
     lines.append(f"  (:predicates {preds})")
     for act in frame.actions:
         lines.append(f"  (:action {_check_name(act.name)}")
         lines.append("    :parameters ()")
         lines.append(f"    :precondition (and {' '.join(_literal_sexp(act.pre, frame))})")
         effs = []
-        for ce in act.cond:
-            then = " ".join(_literal_sexp(ce.effect, frame))
-            if ce.condition:
-                when = " ".join(_literal_sexp(ce.condition, frame))
+        for cpos, cneg, epos, eneg in act.cond:
+            then = " ".join(_literal_sexp(LiteralSet(epos, eneg), frame))
+            if cpos | cneg:
+                when = " ".join(_literal_sexp(LiteralSet(cpos, cneg), frame))
                 effs.append(f"(when (and {when}) (and {then}))")
             else:
                 effs.append(then)
@@ -72,7 +72,7 @@ def write_problem(
     frame = problem.frame
     lines = [f"(define (problem {_check_name(problem_name)})"]
     lines.append(f"  (:domain {_check_name(domain_name)})")
-    init = " ".join(f"({frame.fluents[f].name})" for f in problem.init.true_fluents())
+    init = " ".join(f"({frame.fluents[f]})" for f in bit_ids(problem.init))
     lines.append(f"  (:init {init})")
     lines.append(f"  (:goal (and {' '.join(_literal_sexp(problem.goal, frame))}))")
     lines.append(")")
@@ -149,7 +149,9 @@ def _text(pairs: list[tuple[str, bool]]) -> list[str]:
 
 def _model_errors_as_parse_errors(read):
     """An unknown fluent, a duplicate name or a clash in the PDDL text is a
-    :class:`ParseError` of the input, as in :mod:`gpsyn.jsonio`."""
+    :class:`ParseError` of the input, as in :mod:`gpsyn.jsonio`; so is a
+    form with a missing part, such as ``(define)``, or a list where a name
+    belongs, which the readers meet as an ``IndexError`` or ``TypeError``."""
 
     @wraps(read)
     def reader(*args, **kwargs):
@@ -157,6 +159,8 @@ def _model_errors_as_parse_errors(read):
             return read(*args, **kwargs)
         except ModelError as exc:
             raise ParseError(f"malformed PDDL: {exc}") from exc
+        except (IndexError, TypeError) as exc:
+            raise ParseError(f"malformed PDDL: truncated or misshapen form ({exc})") from exc
 
     return reader
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalConsistencyError, ModelError
-from .model import State, bit_ids, successor_bits, validate_sequential_plan
+from .model import bit_ids, successor_bits, validate_sequential_plan
 
 INF = float("inf")
 
@@ -107,7 +107,7 @@ class _HAdd:
         self.width = frame.width
         self.op_pre, self.op_add = [], []
         for act in frame.actions:
-            for cpos, cneg, epos, eneg in act.branches:
+            for cpos, cneg, epos, eneg in act.cond:
                 # the mask union counts a literal shared by precondition and
                 # condition once
                 self.op_pre.append(_lits(act.pre.pos | cpos, act.pre.neg | cneg))
@@ -170,13 +170,14 @@ def _lits(pos: int, neg: int) -> list[int]:
     return [2 * f for f in bit_ids(pos)] + [2 * f + 1 for f in bit_ids(neg)]
 
 
-def h_add(state: State, problem) -> float:
-    """Additive-heuristic estimate from ``state`` to the problem goal.
+def h_add(bits: int, problem) -> float:
+    """Additive-heuristic estimate from the state bitmask ``bits`` to the
+    problem goal.
 
     0 iff the goal already holds; infinite estimates imply the goal is
     unreachable even without delete effects, hence truly unreachable.
     """
-    return _HAdd(problem.frame, problem.goal).value(state.bits)
+    return _HAdd(problem.frame, problem.goal).value(bits)
 
 
 def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
@@ -199,7 +200,7 @@ def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
             return (goal.pos & ~bits).bit_count() + (goal.neg & bits).bit_count()
     else:
         evaluator = _HAdd(problem.frame, goal).value
-    result = _search(table, problem.init.bits, goal.holds, evaluator, config, t0)
+    result = _search(table, problem.init, goal.holds, evaluator, config, t0)
     if result.solved and not validate_sequential_plan(problem, result.plan.actions):
         raise InternalConsistencyError("search returned a plan that does not validate")
     return result

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from gpsyn.errors import ExecutionResourceError, InapplicableActionError
+from gpsyn.errors import ExecutionResourceError
 from gpsyn.interpreter import ExecutionOutcome, FailureKind, ProgramState, execute
 from gpsyn.model import (
     ClassicalInstance,
@@ -20,8 +20,7 @@ from gpsyn.model import (
     GeneralizedProblem,
     Label,
     LiteralSet,
-    State,
-    successor,
+    successor_bits,
 )
 from gpsyn.program import (
     ActInstruction,
@@ -65,22 +64,22 @@ def random_program(rng: random.Random, frame: Frame, n: int) -> Program:
         if roll < 0.45 and frame.actions:
             lines.append(ActInstruction(rng.choice(frame.actions).name))
         elif roll < 0.9:
-            lines.append(GotoInstruction(rng.randint(0, n), rng.choice(frame.fluents).name))
+            lines.append(GotoInstruction(rng.randint(0, n), rng.choice(frame.fluents)))
         else:
             lines.append(EndInstruction())
     lines.append(EndInstruction())
     return Program(tuple(lines))
 
 
-def random_state(rng: random.Random, frame: Frame) -> State:
-    return State(rng.getrandbits(frame.width), frame.width)
+def random_state(rng: random.Random, frame: Frame) -> int:
+    return rng.getrandbits(frame.width)
 
 
 def random_goal(rng: random.Random, frame: Frame, max_literals: int = 3) -> LiteralSet:
     count = rng.randint(1, min(max_literals, frame.width))
     texts = [
         name if rng.random() < 0.5 else "!" + name
-        for name in rng.sample([fl.name for fl in frame.fluents], count)
+        for name in rng.sample(frame.fluents, count)
     ]
     return frame.literal_set(*texts)
 
@@ -134,19 +133,20 @@ END = "end"
 
 
 def reference_step(program: Program, frame: Frame, ps: ProgramState):
-    """The instruction at ``ps.pc``, read from ``program.lines`` by name and
-    applied with ``model.successor``: the next :class:`ProgramState`, ``END``
-    at an end, or ``(line, action name)`` when the action is inapplicable."""
+    """The instruction at ``ps.pc``, read from ``program.lines`` by name,
+    its precondition tested with ``pre.holds`` and its effects applied with
+    ``model.successor_bits``: the next :class:`ProgramState`, ``END`` at an
+    end, or ``(line, action name)`` when the action is inapplicable."""
     ins = program.lines[ps.pc]
     if isinstance(ins, ActInstruction):
-        try:
-            return ProgramState(successor(ps.state, frame.action(ins.action)), ps.pc + 1)
-        except InapplicableActionError:
+        action = frame.action(ins.action)
+        if not action.pre.holds(ps.bits):
             return ps.pc, ins.action
+        return ProgramState(successor_bits(ps.bits, action), ps.pc + 1)
     if isinstance(ins, GotoInstruction):
-        if ps.state.value(frame.fluent_id(ins.fluent)):
-            return ProgramState(ps.state, ps.pc + 1)
-        return ProgramState(ps.state, ins.target)
+        if ps.bits >> frame.fluent_id(ins.fluent) & 1:
+            return ProgramState(ps.bits, ps.pc + 1)
+        return ProgramState(ps.bits, ins.target)
     return END
 
 
@@ -159,7 +159,7 @@ def reference_run(program: Program, instance: ClassicalInstance) -> ExecutionOut
         seen.add(ps)
         nxt = reference_step(program, instance.frame, ps)
         if nxt is END:
-            solved = all(ps.state.value(l.fluent) == l.positive for l in instance.goal.literals())
+            solved = instance.goal.holds(ps.bits)
             failure = None if solved else FailureKind.INCOMPLETE
             return ExecutionOutcome(solved, steps, failure)
         if not isinstance(nxt, ProgramState):

@@ -134,7 +134,7 @@ def _terminal_state(program: Program, frame, init, cap: int = 300):
         seen.add(ps)
         nxt = reference_step(program, frame, ps)
         if nxt is END:
-            return ps.state
+            return ps.bits
         if not isinstance(nxt, ProgramState):
             return None
         ps = nxt
@@ -156,9 +156,9 @@ def _random_synthesis_case(rng: random.Random):
             if final is None:
                 ok = False
                 break
-            names = rng.sample([fl.name for fl in frame.fluents], rng.randint(1, 2))
+            names = rng.sample(frame.fluents, rng.randint(1, 2))
             goal = frame.literal_set(
-                *[nm if final.value(frame.fluent_id(nm)) else "!" + nm for nm in names]
+                *[nm if final >> frame.fluent_id(nm) & 1 else "!" + nm for nm in names]
             )
             instances.append(ClassicalInstance(frame, f"pos{p}", init, goal))
         if not ok:
@@ -167,11 +167,11 @@ def _random_synthesis_case(rng: random.Random):
             init = random_state(rng, frame)
             final = _terminal_state(hidden, frame, init)
             if final is None:
-                goal = frame.literal_set(frame.fluents[0].name)
+                goal = frame.literal_set(frame.fluents[0])
             else:
-                nm = rng.choice([fl.name for fl in frame.fluents])
+                nm = rng.choice(frame.fluents)
                 goal = frame.literal_set(
-                    "!" + nm if final.value(frame.fluent_id(nm)) else nm
+                    "!" + nm if final >> frame.fluent_id(nm) & 1 else nm
                 )
             instances.append(
                 ClassicalInstance(frame, "neg", init, goal, Label.NEGATIVE)

@@ -17,6 +17,7 @@ from gpsyn.model import (
     FrameBuilder,
     GeneralizedProblem,
     Label,
+    bit_ids,
 )
 from gpsyn.planner import BFS_CONFIG, SolveStatus, solve
 from gpsyn.program import (
@@ -67,25 +68,18 @@ class TestStructure:
             done = compiled.frame.fluent_id("done")
             assert compiled.goal.pos == 1 << done and compiled.goal.neg == 0
 
-    def test_families_partition_fluent_table(self, corridor_task):
-        compiled = compile_synthesis_pn(corridor_task, 2)
-        seen = []
-        for ids in compiled.families.values():
-            seen.extend(ids)
-        assert sorted(seen) == list(range(compiled.frame.width))
-
     def test_base_fluents_keep_their_ids(self, corridor_task):
         compiled = compile_synthesis_pn(corridor_task, 2)
-        for fl in corridor_task.frame.fluents:
-            assert compiled.frame.fluent_id(fl.name) == fl.index
+        for f, name in enumerate(corridor_task.frame.fluents):
+            assert compiled.frame.fluent_id(name) == f
 
     def test_actions_reference_only_table_fluents(self, corridor_task):
         compiled = compile_synthesis_pn(corridor_task, 2)
         width = compiled.frame.width
         for act in compiled.frame.actions:
             masks = [act.pre.pos, act.pre.neg]
-            for ce in act.cond:
-                masks += [ce.condition.pos, ce.condition.neg, ce.effect.pos, ce.effect.neg]
+            for branch in act.cond:
+                masks += branch
             assert all(m >> width == 0 for m in masks)
 
     def test_roles_parallel_actions(self, corridor_task):
@@ -152,7 +146,11 @@ class TestStructure:
     def test_forward_goto_pruning_shrinks_ins_family(self, corridor_task):
         full = compile_synthesis_pn(corridor_task, 2)
         pruned = compile_synthesis_pn(corridor_task, 2, allow_forward_gotos=False)
-        assert len(pruned.families["ins"]) < len(full.families["ins"])
+
+        def ins_fluents(compiled):
+            return sum(name.startswith("ins_") for name in compiled.frame.fluents)
+
+        assert ins_fluents(pruned) < ins_fluents(full)
 
     def test_whitelist_restricts_instruction_set(self):
         problem = tiny_problem()
@@ -162,9 +160,10 @@ class TestStructure:
         assert {r.instruction for r in prog_roles} <= set(alphabet)
 
     def test_negex_only_in_pn_variant(self, corridor_task, loop_after_body_program):
-        assert "negex" in compile_synthesis_pn(corridor_task, 2).families
-        assert "negex" not in compile_validation(corridor_task, loop_after_body_program).families
-        assert "negex" not in compile_synthesis_positive(tiny_problem(), 1).families
+        assert compile_synthesis_pn(corridor_task, 2).frame.has_fluent("negex")
+        validation = compile_validation(corridor_task, loop_after_body_program)
+        assert not validation.frame.has_fluent("negex")
+        assert not compile_synthesis_positive(tiny_problem(), 1).frame.has_fluent("negex")
 
     def test_line_n_only_programs_end(self):
         compiled = compile_synthesis_pn(tiny_problem(), 2)
@@ -290,8 +289,8 @@ class TestSynthesisPN:
             act = compiled.frame.action(name)
             assert not compiled.frame.has_fluent("negex")
             assert "test" not in {
-                compiled.frame.fluents[l.fluent].name.split("_")[0]
-                for l in act.pre.literals()
+                compiled.frame.fluents[f].split("_")[0]
+                for f in bit_ids(act.pre.pos | act.pre.neg)
             }
 
     def test_negex_initial_value_tracks_first_label(self):
@@ -302,10 +301,10 @@ class TestSynthesisPN:
         )
         negative_first = GeneralizedProblem(frame, (neg, pos))
         compiled = compile_synthesis_pn(negative_first, 1)
-        assert compiled.init.value(compiled.frame.fluent_id("negex"))
+        assert compiled.init >> compiled.frame.fluent_id("negex") & 1
         positive_first = GeneralizedProblem(frame, (pos, neg))
         compiled = compile_synthesis_pn(positive_first, 1)
-        assert not compiled.init.value(compiled.frame.fluent_id("negex"))
+        assert not compiled.init >> compiled.frame.fluent_id("negex") & 1
 
 
 class TestDecodeProgram:
@@ -386,7 +385,7 @@ class TestSynthesisBiconditional:
         for _ in range(40):
             frame = random_frame(rng, rng.randint(2, 3), rng.randint(1, 2))
             alphabet = [ActInstruction(a.name) for a in frame.actions]
-            alphabet.append(GotoInstruction(0, rng.choice(frame.fluents).name))
+            alphabet.append(GotoInstruction(0, rng.choice(frame.fluents)))
             alphabet.append(EndInstruction())
             labels = [Label.POSITIVE] + (
                 [Label.NEGATIVE] if rng.random() < 0.5 else []

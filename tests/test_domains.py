@@ -30,7 +30,7 @@ class TestRoboPainter:
     def test_size2_positive_matches_upper_corridor(self):
         inst = generate_instance("robopainter", InstanceSpec(2))
         frame = inst.frame
-        assert inst.init.value(frame.fluent_id("at_1"))
+        assert inst.init >> frame.fluent_id("at_1") & 1
         assert inst.goal == frame.literal_set("painted_1", "at_2")
 
     def test_size6_goal_paints_odd_cells(self):
@@ -43,7 +43,7 @@ class TestRoboPainter:
         inst = generate_instance("robopainter", InstanceSpec(1, Label.NEGATIVE))
         assert inst.goal == inst.frame.literal_set("at_1", "!painted_1")
         # the goal holds initially, so it is trivially reachable
-        assert inst.goal.holds(inst.init.bits)
+        assert inst.goal.holds(inst.init)
 
     def test_straight_plan_applicable_on_2x1(self):
         # inc at the boundary is a no-op, not a failure: (paint, inc, inc)
@@ -68,12 +68,13 @@ class TestGripper:
         assert execute(reference_program("gripper"), inst).solved
 
     def test_pick_with_full_hand_is_inapplicable(self):
-        from gpsyn.model import successor
+        from gpsyn.model import successor_bits
 
         inst = generate_instance("gripper", InstanceSpec(2))
         pick = inst.frame.action("pick_left")
-        held = successor(inst.init, pick)
-        assert not pick.pre.holds(held.bits)
+        assert pick.pre.holds(inst.init)
+        held = successor_bits(inst.init, pick)
+        assert not pick.pre.holds(held)
 
 
 class TestNumericDomains:

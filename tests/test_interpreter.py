@@ -71,7 +71,7 @@ class TestStep:
         inst = corridor_task.instances[0]
         out = reference_step(straight_program, corridor_task.frame, ProgramState(inst.init, 0))
         assert out.pc == 1
-        assert out.state.value(corridor_task.frame.fluent_id("painted_1"))
+        assert out.bits >> corridor_task.frame.fluent_id("painted_1") & 1
         # Had paint not set painted_1, line 1 would loop on itself.
         prog = parse_program("0. paint\n1. goto(1,!painted_1)\n2. end\n")
         assert execute(prog, inst) == ExecutionOutcome(False, 2, FailureKind.INCOMPLETE)
@@ -149,13 +149,13 @@ class TestExecute:
             frame = random_frame(rng, rng.randint(2, 5), rng.randint(1, 3))
             prog = random_program(rng, frame, rng.randint(1, 4))
             inst = ClassicalInstance(
-                frame, "r", random_state(rng, frame), frame.literal_set(frame.fluents[0].name)
+                frame, "r", random_state(rng, frame), frame.literal_set(frame.fluents[0])
             )
             out = execute(prog, inst)  # must return, never hang
             assert out.solved or out.failure is not None
 
     def test_reference_stepper_agrees_with_execute(self):
-        # Differential: the reference stepper (program lines, model.successor,
+        # Differential: the reference stepper (program lines, model.successor_bits,
         # no bound ops) must reproduce every field of execute's outcome.
         rng = random.Random(41)
         kinds = set()
@@ -181,7 +181,7 @@ class TestExecute:
             )
             inst = ClassicalInstance(
                 frame, "r", random_state(rng, frame),
-                frame.literal_set(frame.fluents[0].name),
+                frame.literal_set(frame.fluents[0]),
             )
             out = execute(prog, inst)
             plan = [frame.action(n) for n in names]

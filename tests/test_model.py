@@ -1,19 +1,20 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gpsyn.errors import ConflictError, InapplicableActionError, ModelError
+from gpsyn.errors import ConflictError, ModelError
 from gpsyn.model import (
+    Action,
     ClassicalInstance,
+    Frame,
     FrameBuilder,
     GeneralizedProblem,
     Label,
-    Literal,
     LiteralSet,
-    State,
-    successor,
+    successor_bits,
     triggered_masks,
     validate_sequential_plan,
 )
@@ -42,7 +43,7 @@ class TestLiteralSet:
         a = LiteralSet(pos=0b001, neg=0b100)
         b = LiteralSet(pos=0b010)
         merged = a.union(b)
-        assert set(merged.literals()) == {Literal(0), Literal(1), Literal(2, False)}
+        assert (merged.pos, merged.neg) == (0b011, 0b100)
 
     @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
     def test_union_consistency_closed_only_when_checked(self, pos, neg):
@@ -58,14 +59,14 @@ class TestApplicability:
         b.action("inc", pre=["at_0"], cond=[([], ["!at_0"])])
         frame = b.build()
         pre = frame.action("inc").pre
-        assert pre.holds(frame.state(["at_0"]).bits)
-        assert not pre.holds(frame.state([]).bits)
+        assert pre.holds(frame.state(["at_0"]))
+        assert not pre.holds(frame.state([]))
 
     def test_empty_precondition_always_applicable(self, rp6):
         paint = rp6.action("paint")
         rng = random.Random(0)
         for _ in range(20):
-            assert paint.pre.holds(random_state(rng, rp6).bits)
+            assert paint.pre.holds(random_state(rng, rp6))
 
 
 class TestTriggeredEffects:
@@ -74,7 +75,7 @@ class TestTriggeredEffects:
         b.fluent("painted_0")
         b.action("paint", cond=[([], ["painted_0"])])
         frame = b.build()
-        eff = LiteralSet(*triggered_masks(frame.state([]).bits, frame.action("paint")))
+        eff = LiteralSet(*triggered_masks(frame.state([]), frame.action("paint")))
         assert eff == frame.literal_set("painted_0")
 
     def test_only_matching_condition_fires(self):
@@ -83,7 +84,7 @@ class TestTriggeredEffects:
         b.fluent("painted_0"), b.fluent("painted_1")
         b.action("paint", cond=[(["at_0"], ["painted_0"]), (["at_1"], ["painted_1"])])
         frame = b.build()
-        eff = LiteralSet(*triggered_masks(frame.state(["at_0"]).bits, frame.action("paint")))
+        eff = LiteralSet(*triggered_masks(frame.state(["at_0"]), frame.action("paint")))
         assert eff == frame.literal_set("painted_0")
 
     def test_conflicting_triggered_effects_raise(self):
@@ -92,9 +93,9 @@ class TestTriggeredEffects:
         b.action("bad", cond=[(["a"], ["b"]), ([], ["!b"])])
         frame = b.build()
         with pytest.raises(ConflictError):
-            triggered_masks(frame.state(["a"]).bits, frame.action("bad"))
+            triggered_masks(frame.state(["a"]), frame.action("bad"))
         # consistent when only one branch fires
-        eff = LiteralSet(*triggered_masks(frame.state([]).bits, frame.action("bad")))
+        eff = LiteralSet(*triggered_masks(frame.state([]), frame.action("bad")))
         assert eff == frame.literal_set("!b")
 
     def test_compiled_compare_sets_correct_flag(self, corridor_task, loop_after_body_program):
@@ -108,7 +109,7 @@ class TestTriggeredEffects:
         )
         compare = compiled.frame.actions[compare_idx]
         f = compiled.frame.fluent_id("at_1")
-        bits = compiled.init.bits
+        bits = compiled.init
         bits |= 1 << compiled.frame.fluent_id("copy_at_1")
         bits |= 1 << compiled.frame.fluent_id("stored")
         bits |= 1 << compiled.frame.fluent_id("acted")
@@ -124,27 +125,22 @@ class TestSuccessor:
         b.action("noop_unless_a", cond=[(["a"], ["b"])])
         frame = b.build()
         s = frame.state([])
-        assert successor(s, frame.action("noop_unless_a")) == s
+        assert successor_bits(s, frame.action("noop_unless_a")) == s
 
     def test_robopainter_inc_moves_right(self, rp6):
         s = rp6.state(["at_1", "last_6"])
-        s2 = successor(s, rp6.action("inc"))
-        assert s2.value(rp6.fluent_id("at_2"))
-        assert not s2.value(rp6.fluent_id("at_1"))
+        inc = rp6.action("inc")
+        assert inc.pre.holds(s)
+        s2 = successor_bits(s, inc)
+        assert s2 >> rp6.fluent_id("at_2") & 1
+        assert not s2 >> rp6.fluent_id("at_1") & 1
 
     def test_paint_idempotent(self, rp6):
         s = rp6.state(["at_1", "last_2"])
         paint = rp6.action("paint")
-        once = successor(s, paint)
-        assert successor(once, paint) == once
-
-    def test_inapplicable_raises(self):
-        b = FrameBuilder()
-        b.fluent("a")
-        b.action("act", pre=["a"], cond=[([], ["!a"])])
-        frame = b.build()
-        with pytest.raises(InapplicableActionError):
-            successor(frame.state([]), frame.action("act"))
+        assert paint.pre.holds(s)
+        once = successor_bits(s, paint)
+        assert successor_bits(once, paint) == once
 
     def test_totality_and_frame_preservation(self):
         rng = random.Random(7)
@@ -152,13 +148,13 @@ class TestSuccessor:
             frame = random_frame(rng, rng.randint(2, 6), rng.randint(1, 3))
             s = random_state(rng, frame)
             for action in frame.actions:
-                if not action.pre.holds(s.bits):
+                if not action.pre.holds(s):
                     continue
-                pos, neg = triggered_masks(s.bits, action)
-                s2 = successor(s, action)
-                assert s2.width == frame.width
+                pos, neg = triggered_masks(s, action)
+                s2 = successor_bits(s, action)
+                assert s2 >> frame.width == 0
                 untouched = ~(pos | neg)
-                assert s.bits & untouched == s2.bits & untouched
+                assert s & untouched == s2 & untouched
 
 
 class TestValidateSequentialPlan:
@@ -180,25 +176,22 @@ class TestValidateSequentialPlan:
         # Second implementation: dict-based states, straight from the
         # successor formula, as an independent oracle on random plans.
         def naive_run(inst, plan):
-            state = {fl.name: inst.init.value(fl.index) for fl in inst.frame.fluents}
+            frame = inst.frame
+            state = {name: bool(inst.init >> f & 1) for f, name in enumerate(frame.fluents)}
+
+            def all_hold(texts):
+                return all(state[t.lstrip("!")] == (t[0] != "!") for t in texts)
+
             for action in plan:
-                holds = all(
-                    state[inst.frame.fluents[l.fluent].name] == l.positive
-                    for l in action.pre.literals()
-                )
-                if not holds:
+                if not all_hold(action.pre.texts(frame)):
                     return False
                 new = dict(state)
-                for ce in action.cond:
-                    if all(state[inst.frame.fluents[l.fluent].name] == l.positive
-                           for l in ce.condition.literals()):
-                        for l in ce.effect.literals():
-                            new[inst.frame.fluents[l.fluent].name] = l.positive
+                for cpos, cneg, epos, eneg in action.cond:
+                    if all_hold(LiteralSet(cpos, cneg).texts(frame)):
+                        for t in LiteralSet(epos, eneg).texts(frame):
+                            new[t.lstrip("!")] = t[0] != "!"
                 state = new
-            return all(
-                state[inst.frame.fluents[l.fluent].name] == l.positive
-                for l in inst.goal.literals()
-            )
+            return all_hold(inst.goal.texts(frame))
 
         rng = random.Random(11)
         for _ in range(100):
@@ -231,14 +224,42 @@ class TestContainers:
         with pytest.raises(ModelError, match="unknown fluent 'y'"):
             b.build().literal_set("x", "y")
 
-    def test_frame_rejects_out_of_range_references(self):
-        from gpsyn.model import Action, Fluent, Frame
-
+    def test_frame_rejects_repeated_fluent_names(self):
+        frame = build_task("trisum", [InstanceSpec(1)]).frame
         with pytest.raises(ModelError):
-            Frame(
-                (Fluent(0, "x"),),
-                (Action("a", LiteralSet(pos=0b10), ()),),
-            )
+            dataclasses.replace(frame, fluents=frame.fluents + frame.fluents[:1])
+
+    def test_empty_effect_set_is_model_error(self):
+        b = FrameBuilder()
+        b.fluent("x")
+        with pytest.raises(ModelError, match="empty effect set"):
+            b.action("a", cond=[(["x"], [])])
+
+    def test_effect_with_both_polarities_is_conflict(self):
+        b = FrameBuilder()
+        b.fluent("x"), b.fluent("y")
+        with pytest.raises(ConflictError):
+            b.action("a", cond=[(["x", "!x"], ["y"])])
+        with pytest.raises(ConflictError):
+            b.action("a", cond=[([], ["y", "!y"])])
+
+    def test_action_checks_its_effect_masks(self):
+        with pytest.raises(ModelError, match="empty effect set"):
+            Action("a", LiteralSet(), ((0b1, 0, 0, 0),))
+        with pytest.raises(ConflictError):
+            Action("a", LiteralSet(), ((0b1, 0b1, 0b10, 0),))
+        with pytest.raises(ConflictError):
+            Action("a", LiteralSet(), ((0, 0, 0b1, 0b1),))
+
+    def test_fluent_name_may_not_start_with_negation_mark(self):
+        with pytest.raises(ModelError, match="negation mark"):
+            Frame(("!x",), ())
+
+    def test_frame_rejects_out_of_range_references(self):
+        with pytest.raises(ModelError):
+            Frame(("x",), (Action("a", LiteralSet(pos=0b10), ()),))
+        with pytest.raises(ModelError):
+            Frame(("x",), (Action("a", LiteralSet(), ((0, 0, 0b10, 0),)),))
 
     def test_generalized_problem_requires_shared_frame(self):
         a = build_task("trisum", [InstanceSpec(1)])
@@ -255,11 +276,11 @@ class TestContainers:
     def test_instance_init_must_be_total_width(self):
         frame = build_task("trisum", [InstanceSpec(1)]).frame
         with pytest.raises(ModelError):
-            ClassicalInstance(frame, "bad", State(0, frame.width + 1), LiteralSet())
+            ClassicalInstance(frame, "bad", 1 << frame.width, LiteralSet())
 
     def test_fluent_id_out_of_range_is_model_error(self):
-        state = State(0b1, 1)
+        frame = Frame(("x",), ())
         with pytest.raises(ModelError):
-            state.value(5)
+            ClassicalInstance(frame, "bad", 0b10, LiteralSet())
         with pytest.raises(ModelError):
-            State(0b10, 1)
+            ClassicalInstance(frame, "bad", 0, LiteralSet(neg=0b10))

@@ -9,8 +9,8 @@ from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     Label,
-    Literal,
-    successor,
+    LiteralSet,
+    successor_bits,
     validate_sequential_plan,
 )
 from gpsyn.planner import (
@@ -67,13 +67,13 @@ def shortest_distance(inst):
     """Plan length to the goal by level-by-level expansion, or None."""
     level, seen, depth = {inst.init}, {inst.init}, 0
     while level:
-        if any(inst.goal.holds(state.bits) for state in level):
+        if any(inst.goal.holds(state) for state in level):
             return depth
         following = set()
         for state in level:
             for action in inst.frame.actions:
-                if action.pre.holds(state.bits):
-                    child = successor(state, action)
+                if action.pre.holds(state):
+                    child = successor_bits(state, action)
                     if child not in seen:
                         seen.add(child)
                         following.add(child)
@@ -198,11 +198,14 @@ def reference_h_add(frame, goal, bits):
     (precondition ∪ condition → effect), and ``cost[q] = min(cost[q], 1 +
     Σ cost[pre])`` is repeated over all of them until no cost changes."""
     ops = [
-        (set(act.pre.literals()) | set(ce.condition.literals()), list(ce.effect.literals()))
+        (
+            set(act.pre.texts(frame)) | set(LiteralSet(cpos, cneg).texts(frame)),
+            LiteralSet(epos, eneg).texts(frame),
+        )
         for act in frame.actions
-        for ce in act.cond
+        for cpos, cneg, epos, eneg in act.cond
     ]
-    cost = {Literal(f, bool(bits >> f & 1)): 0 for f in range(frame.width)}
+    cost = {name if bits >> f & 1 else "!" + name: 0 for f, name in enumerate(frame.fluents)}
     changed = True
     while changed:
         changed = False
@@ -213,7 +216,7 @@ def reference_h_add(frame, goal, bits):
                     if c < cost.get(q, INF):
                         cost[q] = c
                         changed = True
-    return sum(cost.get(g, INF) for g in goal.literals())
+    return sum(cost.get(g, INF) for g in goal.texts(frame))
 
 
 def bfs_states(inst, limit):
@@ -223,8 +226,8 @@ def bfs_states(inst, limit):
     while queue and len(order) < limit:
         state = queue.popleft()
         for action in inst.frame.actions:
-            if action.pre.holds(state.bits):
-                child = successor(state, action)
+            if action.pre.holds(state):
+                child = successor_bits(state, action)
                 if child not in seen:
                     seen.add(child)
                     order.append(child)
@@ -261,8 +264,8 @@ class TestHAdd:
         for inst, states in hadd_cases(random.Random(41)):
             heuristic = planner._HAdd(inst.frame, inst.goal)
             for state in states:
-                expected = reference_h_add(inst.frame, inst.goal, state.bits)
-                assert heuristic.value(state.bits) == expected
+                expected = reference_h_add(inst.frame, inst.goal, state)
+                assert heuristic.value(state) == expected
                 kinds["inf" if expected == INF else min(expected, 2)] += 1
         assert kinds[0] and kinds[1] and kinds[2] and kinds["inf"], kinds
 

@@ -40,7 +40,7 @@ class TestJson:
 
     def test_fluent_order_preserved(self, corridor_pair):
         doc = jsonio.problem_to_dict(corridor_pair)
-        assert doc["frame"]["fluents"] == [f.name for f in corridor_pair.frame.fluents]
+        assert doc["frame"]["fluents"] == list(corridor_pair.frame.fluents)
 
     def test_labels_preserved(self, corridor_pair):
         doc = jsonio.problem_to_dict(corridor_pair)
@@ -56,6 +56,12 @@ class TestJson:
         with pytest.raises(ParseError):
             jsonio.problem_from_dict({"frame": {}})
 
+    def test_empty_effect_set_raises_parse_error(self, corridor_pair):
+        doc = jsonio.problem_to_dict(corridor_pair)
+        doc["frame"]["actions"][0]["effects"][0]["then"] = []
+        with pytest.raises(ParseError, match="empty effect set"):
+            jsonio.problem_from_dict(doc)
+
     def test_missing_file_raises_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             jsonio.load_problem(tmp_path / "nope.json")
@@ -67,8 +73,8 @@ class TestJson:
 
 
 def reachable_space(problem):
-    frontier = [problem.init.bits]
-    seen = {problem.init.bits}
+    frontier = [problem.init]
+    seen = {problem.init}
     while frontier:
         bits = frontier.pop()
         for action in problem.frame.actions:
@@ -159,3 +165,21 @@ class TestPddl:
     def test_reader_rejects_garbage(self):
         with pytest.raises(ParseError):
             pddl.read_domain("(define (domain x) (:predicates (p))")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(define)",
+            "(define (domain d) (:action))",
+            "(define (domain d) (:predicates (a)) (:action x :effect (when (and (a)))))",
+            "(define (problem))",
+            "(define (domain d) (:action x (a) b))",
+        ],
+    )
+    def test_reader_rejects_truncated_forms(self, text):
+        frame = pddl.read_domain("(define (domain d) (:predicates (a)))")
+        with pytest.raises(ParseError, match="malformed PDDL"):
+            if "(problem" in text:
+                pddl.read_problem(text, frame)
+            else:
+                pddl.read_domain(text)
