@@ -40,7 +40,7 @@ from .errors import ExecutionResourceError, GpsynError, InternalConsistencyError
 from .evaluation import evaluate_test_set, format_metric
 from .interpreter import validate_program
 from .model import Label
-from .planner import Heuristic, SearchConfig, SolveStatus, Strategy
+from .planner import Heuristic, SearchConfig, SolveStatus
 from .program import format_program, parse_program
 
 EXIT_OK = 0
@@ -146,7 +146,7 @@ def _cmd_gen(args) -> int:
         specs.append(InstanceSpec(size=size, label=label, aux=aux))
     problem = build_task(args.domain, specs)
     if args.check_reachability:
-        config = _search_config(args, strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
+        config = _search_config(args, heuristic=Heuristic.BLIND)
         for inst in problem.instances:
             if not _solve(inst, config).solved:
                 raise InternalConsistencyError(
@@ -193,9 +193,7 @@ def _cmd_synth(args) -> int:
         compiled = compile_synthesis_pn(
             problem, args.lines, allow_forward_gotos=not args.backward_gotos_only
         )
-    config = _search_config(
-        args, strategy=Strategy(args.strategy), heuristic=Heuristic(args.heuristic)
-    )
+    config = _search_config(args, heuristic=Heuristic(args.heuristic))
     result = _solve(compiled, config)
     if result.status is SolveStatus.PROVED_UNSOLVABLE:
         print(
@@ -215,7 +213,6 @@ def _cmd_synth(args) -> int:
         {
             "lines": args.lines,
             "variant": args.variant,
-            "strategy": config.strategy.value,
             "heuristic": config.heuristic.value,
             "max_expansions": config.max_expansions,
             "max_seconds": config.max_seconds,
@@ -267,7 +264,7 @@ def _direct_outcomes(program, problem):
 
 def _compiled_outcomes(program, problem, args):
     compiled = compile_validation(problem, program)
-    config = _search_config(args, strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
+    config = _search_config(args, heuristic=Heuristic.BLIND)
     result = _solve(compiled, config)
     if not result.solved:
         return False, None
@@ -432,7 +429,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lines", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--variant", choices=["pn", "positive"], default="pn")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy], default="gbfs")
     p.add_argument("--heuristic", choices=[h.value for h in Heuristic], default="hadd")
     p.add_argument("--max-expansions", type=int, default=None)
     p.add_argument("--max-seconds", type=float, default=None)

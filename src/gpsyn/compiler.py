@@ -20,9 +20,14 @@ whose ``kind`` is the action-name prefix (``prog``, ``exec``, ``check``,
 ``store``, ``compare``, ``process``, ``skip``); the action name is formatted
 from the role alone.
 
-Compiled instances use the same frame/state types as ordinary instances, with
-base fluents keeping their original ids, so the planner runs on them directly
-and solution plans decode back into programs and per-instance outcomes.
+The builder holds every compiled fluent (``pc``, ``ins``, ``nil``, ``test``,
+``done``, the gadget's flags, copies and corrects, ``negex``) as its bit, and
+writes each effect directly as a ``(cond.pos, cond.neg, eff.pos, eff.neg)``
+mask tuple; :class:`~gpsyn.model.LiteralSet` only wraps the checked
+precondition of each action and the goal. Compiled instances use the same
+frame/state types as ordinary instances, with base fluents keeping their
+original ids, so the planner runs on them directly and solution plans decode
+back into programs and per-instance outcomes.
 """
 
 from __future__ import annotations
@@ -157,22 +162,17 @@ class _Builder:
         self.with_gadget = variant is not Variant.SYNTH_POSITIVE
         self.with_negex = variant is Variant.SYNTH_PN
 
-        self.fluents: list[str] = []
-        self.ids: dict[str, int] = {}
+        self.fluents = list(self.base.fluents)
         self.actions: list[Action] = []
         self.roles: list[Role] = []
 
     # -- fluent table -------------------------------------------------------
 
     def _add_fluent(self, name: str) -> int:
-        if name in self.ids:
-            raise ModelError(
-                f"compiled fluent name collision: {name!r} (rename the base fluent)"
-            )
-        idx = len(self.fluents)
+        """Append a compiled fluent and return its bit. A name that collides
+        with a base fluent is rejected by :class:`Frame` in :meth:`build`."""
         self.fluents.append(name)
-        self.ids[name] = idx
-        return idx
+        return 1 << (len(self.fluents) - 1)
 
     def _line_universe(self, i: int) -> list[Instruction]:
         """Instructions that may occupy line ``i`` (the fluent family)."""
@@ -186,202 +186,145 @@ class _Builder:
         return out + [EndInstruction()]
 
     def build_fluents(self) -> None:
-        for name in self.base.fluents:
-            self._add_fluent(name)
+        """Lay out the compiled fluents after the base ones. Each is held as
+        its bit; fluent bits are distinct, so a group's sum is its mask."""
         self.pc = [self._add_fluent(f"pc_{i}") for i in range(self.n + 1)]
+        self.line_universe = [self._line_universe(i) for i in range(self.n + 1)]
         self.ins: list[dict[Instruction, int]] = []
         self.nil: list[int] = []
-        self.line_universe = [self._line_universe(i) for i in range(self.n + 1)]
-        for i in range(self.n + 1):
-            table = {}
-            for ins in self.line_universe[i]:
-                table[ins] = self._add_fluent(f"ins_{i}_{instruction_slug(ins)}")
-            self.ins.append(table)
+        for i, universe in enumerate(self.line_universe):
+            self.ins.append(
+                {ins: self._add_fluent(f"ins_{i}_{instruction_slug(ins)}") for ins in universe}
+            )
             self.nil.append(self._add_fluent(f"ins_{i}_nil"))
         self.test = [self._add_fluent(f"test_{t}") for t in range(1, self.T + 1)]
         self.done = self._add_fluent("done")
+        self.gadget = self.negex = 0
         if self.with_gadget:
+            first = len(self.fluents)
             self.flag = {name: self._add_fluent(name) for name in _FLAGS}
-            watched = list(range(self.base.width)) + self.pc
-            self.watched = watched
-            self.copy = {f: self._add_fluent(f"copy_{self.fluents[f]}") for f in watched}
-            self.correct = {f: self._add_fluent(f"correct_{self.fluents[f]}") for f in watched}
+            # The loop gadget watches the base fluents and the program
+            # counter, which are the first fluents of the table.
+            watched = range(self.base.width + self.n + 1)
+            copies = [self._add_fluent(f"copy_{self.fluents[f]}") for f in watched]
+            corrects = [self._add_fluent(f"correct_{self.fluents[f]}") for f in watched]
+            self.watched = [(1 << f, c, k) for f, c, k in zip(watched, copies, corrects)]
+            self.corrects = sum(corrects)
+            # every flag, copy and correct fluent; a reset clears them all
+            self.gadget = (1 << len(self.fluents)) - (1 << first)
         if self.with_negex:
             self.negex = self._add_fluent("negex")
 
-    # -- literal helpers ----------------------------------------------------
+    # -- masks --------------------------------------------------------------
 
-    def _ls(self, pos: Iterable[int] = (), neg: Iterable[int] = ()) -> LiteralSet:
-        p = q = 0
-        for f in pos:
-            p |= 1 << f
-        for f in neg:
-            q |= 1 << f
-        return LiteralSet(p, q)
-
-    def _pre_of(self, ins: Instruction, t: int | None) -> LiteralSet:
+    def _pre_of(self, ins: Instruction, t: int | None) -> tuple[int, int]:
         """The instruction's own precondition (goal + test for end copies)."""
         if isinstance(ins, ActInstruction):
-            return self.base.action(ins.action).pre
+            pre = self.base.action(ins.action).pre
+            return pre.pos, pre.neg
         if isinstance(ins, GotoInstruction):
-            return LiteralSet()
+            return 0, 0
         goal = self.gp.instances[t - 1].goal
-        return goal.union(self._ls(pos=[self.test[t - 1]]))
+        return goal.pos | self.test[t - 1], goal.neg
 
-    def _reset_literals(self, next_t: int) -> LiteralSet:
-        """Unconditional effect that restarts execution on instance ``next_t``:
-        base state := its init, pc := 0, test advances, gadget flags clear."""
-        inst = self.gp.instances[next_t - 1]
-        width = self.base.width
-        mask = (1 << width) - 1
-        pos = inst.init
-        neg = mask & ~inst.init
-        pos |= 1 << self.pc[0]
-        for j in range(1, self.n + 1):
-            neg |= 1 << self.pc[j]
-        neg |= 1 << self.test[next_t - 2]
-        pos |= 1 << self.test[next_t - 1]
-        if self.with_gadget:
-            for name in _FLAGS:
-                neg |= 1 << self.flag[name]
-            for f in self.watched:
-                neg |= 1 << self.copy[f]
-                neg |= 1 << self.correct[f]
-        if self.with_negex:
-            if inst.label is Label.NEGATIVE:
-                pos |= 1 << self.negex
-            else:
-                neg |= 1 << self.negex
-        return LiteralSet(pos, neg)
-
-    def _end_effects(self, t: int) -> LiteralSet:
-        """What finishing instance ``t`` does (reset to next, or ``done``)."""
-        if t < self.T:
-            eff = self._reset_literals(t + 1)
-        else:
-            eff = self._ls(pos=[self.done])
+    def _end_effects(self, t: int) -> tuple[int, int]:
+        """What finishing instance ``t`` does: restart execution on instance
+        ``t + 1`` (base state := its init, pc := 0, test advances, gadget
+        clears), or set ``done`` after the last instance."""
+        if t == self.T:
             if self.with_gadget:
-                eff = eff.union(
-                    self._ls(
-                        pos=[self.flag["acted"]],
-                        neg=[self.flag["checked"], self.flag["holds"]],
-                    )
-                )
-        return eff
+                flag = self.flag
+                return self.done | flag["acted"], flag["checked"] | flag["holds"]
+            return self.done, 0
+        inst = self.gp.instances[t]
+        pos = inst.init | self.pc[0] | self.test[t]
+        base = (1 << self.base.width) - 1
+        neg = (base & ~inst.init) | sum(self.pc[1:]) | self.test[t - 1] | self.gadget
+        if inst.label is Label.NEGATIVE:
+            pos |= self.negex
+        else:
+            neg |= self.negex
+        return pos, neg
 
     # -- action constructors ------------------------------------------------
 
-    def _add_action(self, role: Role, pre: LiteralSet, cond) -> None:
-        effects = tuple((c.pos, c.neg, e.pos, e.neg) for c, e in cond if e)
-        self.actions.append(Action(role.name, pre, effects))
+    def _add_action(self, role: Role, pos: int, neg: int, cond) -> None:
+        self.actions.append(Action(role.name, LiteralSet(pos, neg), tuple(cond)))
         self.roles.append(role)
 
     def _prog_action(self, ins: Instruction, i: int, t: int | None) -> None:
-        pre = self._pre_of(ins, t).union(self._ls(pos=[self.pc[i], self.nil[i]]))
-        eff = self._ls(pos=[self.ins[i][ins]], neg=[self.nil[i]])
-        self._add_action(Role("prog", i, ins, t), pre, [(LiteralSet(), eff)])
+        pos, neg = self._pre_of(ins, t)
+        eff = (0, 0, self.ins[i][ins], self.nil[i])
+        self._add_action(Role("prog", i, ins, t), pos | self.pc[i] | self.nil[i], neg, [eff])
 
     def _exec_action(self, ins: Instruction, i: int, t: int | None) -> None:
-        pre = self._pre_of(ins, t).union(self._ls(pos=[self.pc[i], self.ins[i][ins]]))
-        decor_pos: list[int] = []
-        decor_neg: list[int] = []
+        pos, neg = self._pre_of(ins, t)
+        pos |= self.pc[i] | self.ins[i][ins]
+        acted = unchecked = 0
         if self.with_gadget:
-            pre = pre.union(self._ls(pos=[self.flag["checked"], self.flag["holds"]]))
-            decor_pos = [self.flag["acted"]]
-            decor_neg = [self.flag["checked"], self.flag["holds"]]
-        cond: list[tuple[LiteralSet, LiteralSet]] = []
+            acted, unchecked = self.flag["acted"], self.flag["checked"] | self.flag["holds"]
+            pos |= unchecked
         if isinstance(ins, ActInstruction):
-            base_act = self.base.action(ins.action)
-            cond.extend(
-                (LiteralSet(cpos, cneg), LiteralSet(epos, eneg))
-                for cpos, cneg, epos, eneg in base_act.cond
-            )
-            move = self._ls(pos=[self.pc[i + 1]] + decor_pos, neg=[self.pc[i]] + decor_neg)
-            cond.append((LiteralSet(), move))
+            move = (0, 0, self.pc[i + 1] | acted, self.pc[i] | unchecked)
+            cond = self.base.action(ins.action).cond + (move,)
         elif isinstance(ins, GotoInstruction):
-            f = self.base.fluent_id(ins.fluent)
+            f = 1 << self.base.fluent_id(ins.fluent)
             if ins.target == i:
                 # Self-jump: only the fall-through branch moves the counter;
                 # a false condition leaves the program state unchanged.
-                cond.append(
-                    (self._ls(pos=[f]), self._ls(pos=[self.pc[i + 1]], neg=[self.pc[i]]))
-                )
-                if decor_pos:
-                    cond.append((LiteralSet(), self._ls(pos=decor_pos, neg=decor_neg)))
+                cond = [(f, 0, self.pc[i + 1], self.pc[i])]
+                if acted:
+                    cond.append((0, 0, acted, unchecked))
             else:
-                cond.append((LiteralSet(), self._ls(pos=decor_pos, neg=[self.pc[i]] + decor_neg)))
-                cond.append((self._ls(pos=[f]), self._ls(pos=[self.pc[i + 1]])))
-                cond.append((self._ls(neg=[f]), self._ls(pos=[self.pc[ins.target]])))
+                cond = [
+                    (0, 0, acted, self.pc[i] | unchecked),
+                    (f, 0, self.pc[i + 1], 0),
+                    (0, f, self.pc[ins.target], 0),
+                ]
         else:
-            if self.with_negex:
-                pre = pre.union(self._ls(neg=[self.negex]))
-            cond.append((LiteralSet(), self._end_effects(t)))
-        self._add_action(Role("exec", i, ins, t), pre, cond)
+            neg |= self.negex
+            cond = [(0, 0, *self._end_effects(t))]
+        self._add_action(Role("exec", i, ins, t), pos, neg, cond)
 
     def _check_action(self, ins: Instruction, i: int, t: int | None) -> None:
-        pre = self._ls(
-            pos=[self.pc[i], self.ins[i][ins]],
-            neg=[self.flag["checked"], self.flag["loop"]],
-        )
+        flag = self.flag
+        pos = self.pc[i] | self.ins[i][ins]
+        neg = flag["checked"] | flag["loop"]
         if isinstance(ins, EndInstruction):
             # No stored copy may leak from one instance into the next, and the
             # end copy for instance t may only be checked while t is running
             # (otherwise a vacuous wrong-copy check could fail any instance
             # at will, breaking the solvability/validation equivalence).
-            pre = pre.union(self._ls(pos=[self.test[t - 1]], neg=[self.flag["stored"]]))
-        w_pre = self._pre_of(ins, t)
-        checked = self._ls(pos=[self.flag["checked"]])
-        holds = self._ls(pos=[self.flag["holds"]])
-        if w_pre:
-            cond = [(LiteralSet(), checked), (w_pre, holds)]
+            pos |= self.test[t - 1]
+            neg |= flag["stored"]
+        w_pos, w_neg = self._pre_of(ins, t)
+        if w_pos | w_neg:
+            cond = [(0, 0, flag["checked"], 0), (w_pos, w_neg, flag["holds"], 0)]
         else:
-            cond = [(LiteralSet(), checked.union(holds))]
-        self._add_action(Role("check", i, ins, t), pre, cond)
+            cond = [(0, 0, flag["checked"] | flag["holds"], 0)]
+        self._add_action(Role("check", i, ins, t), pos, neg, cond)
 
     def _gadget_actions(self) -> None:
-        negex_pre = self._ls(pos=[self.negex]) if self.with_negex else LiteralSet()
         flag = self.flag
-        pre = self._ls(pos=[flag["acted"]], neg=[flag["checked"], flag["stored"]])
-        cond = [(LiteralSet(), self._ls(pos=[flag["stored"]], neg=[flag["acted"]]))]
-        cond += [
-            (self._ls(pos=[f]), self._ls(pos=[self.copy[f]])) for f in self.watched
-        ]
-        self._add_action(Role("store"), pre.union(negex_pre), cond)
+        stored, acted, checked, loop = flag["stored"], flag["acted"], flag["checked"], flag["loop"]
+        cond = [(0, 0, stored, acted)] + [(f, 0, c, 0) for f, c, _ in self.watched]
+        self._add_action(Role("store"), acted | self.negex, checked | stored, cond)
 
-        pre = self._ls(
-            pos=[flag["stored"], flag["acted"]], neg=[flag["checked"], flag["loop"]]
-        )
-        cond = [
-            (
-                LiteralSet(),
-                self._ls(pos=[flag["loop"]], neg=[flag["stored"], flag["acted"]]),
-            )
-        ]
-        for f in self.watched:
-            cf = self.copy[f]
-            ok = self._ls(pos=[self.correct[f]])
-            cond.append((self._ls(pos=[f, cf]), ok))
-            cond.append((self._ls(neg=[f, cf]), ok))
-        self._add_action(Role("compare"), pre.union(negex_pre), cond)
+        cond = [(0, 0, loop, stored | acted)]
+        for f, c, k in self.watched:
+            cond += [(f | c, 0, k, 0), (0, f | c, k, 0)]
+        self._add_action(Role("compare"), stored | acted | self.negex, checked | loop, cond)
 
-        pre = self._ls(pos=[flag["loop"]] + [self.correct[f] for f in self.watched])
-        cond = [(LiteralSet(), self._ls(pos=[flag["checked"]], neg=[flag["loop"]]))]
-        self._add_action(Role("process"), pre.union(negex_pre), cond)
+        pos = loop | self.corrects | self.negex
+        self._add_action(Role("process"), pos, 0, [(0, 0, checked, loop)])
 
     def _skip_action(self, t: int) -> None:
         flag = self.flag
-        pre = self._ls(
-            pos=[self.test[t - 1], flag["checked"]], neg=[flag["holds"]]
-        )
-        if self.with_negex:
-            pre = pre.union(self._ls(pos=[self.negex]))
-        eff = self._end_effects(t)
-        clear = self._ls(
-            neg=[flag["checked"], flag["stored"]]
-            + [self.copy[f] for f in self.watched]
-            + [self.correct[f] for f in self.watched]
-        )
-        self._add_action(Role("skip", t=t), pre, [(LiteralSet(), eff.union(clear))])
+        pos, neg = self._end_effects(t)
+        # clear the check and every stored copy, also after the last instance
+        neg |= self.gadget & ~(flag["holds"] | flag["acted"] | flag["loop"])
+        pre_pos = self.test[t - 1] | flag["checked"] | self.negex
+        self._add_action(Role("skip", t=t), pre_pos, flag["holds"], [(0, 0, pos, neg)])
 
     # -- variants -----------------------------------------------------------
 
@@ -421,16 +364,13 @@ class _Builder:
                         self._exec_action(ins, i, t)
 
     def _init_state(self) -> int:
-        bits = self.gp.instances[0].init
-        bits |= 1 << self.pc[0]
-        bits |= 1 << self.test[0]
+        first = self.gp.instances[0]
+        bits = first.init | self.pc[0] | self.test[0]
         written = () if self.program is None else self.program.lines
-        for i, ins in enumerate(written):
-            bits |= 1 << self.ins[i][ins]
-        for i in range(len(written), self.n + 1):
-            bits |= 1 << self.nil[i]
-        if self.with_negex and self.gp.instances[0].label is Label.NEGATIVE:
-            bits |= 1 << self.negex
+        bits |= sum(self.ins[i][ins] for i, ins in enumerate(written))
+        bits |= sum(self.nil[len(written):])
+        if first.label is Label.NEGATIVE:
+            bits |= self.negex
         return bits
 
     def build(self) -> CompiledInstance:
@@ -445,7 +385,7 @@ class _Builder:
         return CompiledInstance(
             frame=frame,
             init=self._init_state(),
-            goal=self._ls(pos=[self.done]),
+            goal=LiteralSet(self.done),
             variant=self.variant,
             lines=self.n,
             instance_names=tuple(inst.name for inst in self.gp.instances),

@@ -35,7 +35,6 @@ from .model import (
     FrameBuilder,
     GeneralizedProblem,
     Label,
-    LiteralSet,
     bit_ids,
 )
 
@@ -48,12 +47,9 @@ def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -
             "actions": [
                 {
                     "name": act.name,
-                    "pre": act.pre.texts(frame),
+                    "pre": frame.texts(act.pre.pos, act.pre.neg),
                     "effects": [
-                        {
-                            "when": LiteralSet(cpos, cneg).texts(frame),
-                            "then": LiteralSet(epos, eneg).texts(frame),
-                        }
+                        {"when": frame.texts(cpos, cneg), "then": frame.texts(epos, eneg)}
                         for cpos, cneg, epos, eneg in act.cond
                     ],
                 }
@@ -65,7 +61,7 @@ def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -
                 "name": inst.name,
                 "label": inst.label.value,
                 "init": [frame.fluents[f] for f in bit_ids(inst.init)],
-                "goal": inst.goal.texts(frame),
+                "goal": frame.texts(inst.goal.pos, inst.goal.neg),
             }
             for inst in problem.instances
         ],

@@ -1,13 +1,15 @@
 """Propositional planning model with conditional effects.
 
 Fluents are names, indexed by their position in :attr:`Frame.fluents`. A
-state is an int bitmask whose bit ``f`` is set iff fluent ``f`` is true. A
-literal set is a pair of bitmasks (asserted-true, asserted-false), and an
+state is an int bitmask whose bit ``f`` is set iff fluent ``f`` is true. An
 action's conditional effects are ``(cond.pos, cond.neg, eff.pos, eff.neg)``
-mask tuples. Compiled instances produced by :mod:`gpsyn.compiler` reuse these
-types, so the representation has to stay cheap at a few hundred fluents.
+mask tuples, and :class:`LiteralSet` is only the checked ``(pos, neg)`` pair
+of a precondition or a goal, tested on a state with :meth:`LiteralSet.holds`.
+:meth:`Frame.literal_set` parses ``"name"`` / ``"!name"`` texts into masks and
+:meth:`Frame.texts` prints masks back. Compiled instances produced by
+:mod:`gpsyn.compiler` reuse these types, so the representation has to stay
+cheap at a few hundred fluents.
 
-Conditions are tested on state bitmasks with :meth:`LiteralSet.holds`, and
 :func:`successor_bits` is the one successor function.
 
 All types are immutable values after construction and safe to share.
@@ -24,10 +26,10 @@ from .errors import ConflictError, ModelError
 
 
 class LiteralSet:
-    """A consistent partial assignment of values to fluents.
+    """The checked ``(pos, neg)`` mask pair of a precondition or a goal.
 
-    Stored as two bitmasks: ``pos`` for fluents asserted true and ``neg`` for
-    fluents asserted false. A fluent never appears in both.
+    ``pos`` holds the fluents asserted true and ``neg`` those asserted false;
+    construction rejects a fluent in both with :class:`ConflictError`.
     """
 
     __slots__ = ("pos", "neg")
@@ -40,30 +42,9 @@ class LiteralSet:
         self.pos = pos
         self.neg = neg
 
-    def texts(self, frame: "Frame") -> list[str]:
-        """The literals as ``"name"`` / ``"!name"`` texts, the inverse of
-        :meth:`Frame.literal_set`: the true ones first, each in fluent order."""
-        names = frame.fluents
-        return [names[f] for f in bit_ids(self.pos)] + ["!" + names[f] for f in bit_ids(self.neg)]
-
-    def union(self, other: "LiteralSet") -> "LiteralSet":
-        """Combine two literal sets, raising :class:`ConflictError` on clash."""
-        clash = (self.pos & other.neg) | (self.neg & other.pos)
-        if clash:
-            raise ConflictError(
-                f"conflicting polarities for fluents {bit_ids(clash)} in union"
-            )
-        return LiteralSet(self.pos | other.pos, self.neg | other.neg)
-
     def holds(self, bits: int) -> bool:
         """True iff every literal holds in the state bitmask ``bits``."""
         return (bits & self.pos) == self.pos and (bits & self.neg) == 0
-
-    def __len__(self) -> int:
-        return (self.pos | self.neg).bit_count()
-
-    def __bool__(self) -> bool:
-        return bool(self.pos | self.neg)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -161,6 +142,13 @@ class Frame:
     def literal_set(self, *texts: str) -> LiteralSet:
         """Parse ``"name"`` / ``"!name"`` texts into a literal set."""
         return _literal_set(texts, self._fluent_ids)
+
+    def texts(self, pos: int, neg: int) -> list[str]:
+        """The literals of the masks ``pos`` (true) and ``neg`` (false) as
+        ``"name"`` / ``"!name"`` texts, the inverse of :meth:`literal_set`:
+        the true ones first, each in fluent order."""
+        names = self.fluents
+        return [names[f] for f in bit_ids(pos)] + ["!" + names[f] for f in bit_ids(neg)]
 
     def state(self, true_names: Iterable[str]) -> int:
         """The state bitmask in which exactly ``true_names`` hold."""

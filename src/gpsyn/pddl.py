@@ -5,8 +5,9 @@ a parameterless action. Requirements are ``:strips :negative-preconditions
 :conditional-effects``. The reader accepts exactly this fragment, so anything
 the writer emits round-trips; action and fluent names are preserved verbatim
 (a compiled action's name is its decode role's ``Role.name``, which therefore
-survives the round-trip). An undeclared predicate or a duplicate name in the
-input is a :class:`ParseError`.
+survives the round-trip). An undeclared predicate, a duplicate name, a
+section or action keyword outside this fragment, or a keyword with no value
+in the input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ def _check_name(name: str) -> str:
     return name
 
 
-def _literal_sexp(ls: LiteralSet, frame: Frame) -> list[str]:
-    return [
+def _literal_sexp(frame: Frame, pos: int, neg: int) -> str:
+    return " ".join(
         f"(not ({text[1:]}))" if text.startswith("!") else f"({text})"
-        for text in ls.texts(frame)
-    ]
+        for text in frame.texts(pos, neg)
+    )
 
 
 def write_domain(frame: Frame, domain_name: str = "gpsyn-domain") -> str:
@@ -48,13 +49,12 @@ def write_domain(frame: Frame, domain_name: str = "gpsyn-domain") -> str:
     for act in frame.actions:
         lines.append(f"  (:action {_check_name(act.name)}")
         lines.append("    :parameters ()")
-        lines.append(f"    :precondition (and {' '.join(_literal_sexp(act.pre, frame))})")
+        lines.append(f"    :precondition (and {_literal_sexp(frame, act.pre.pos, act.pre.neg)})")
         effs = []
         for cpos, cneg, epos, eneg in act.cond:
-            then = " ".join(_literal_sexp(LiteralSet(epos, eneg), frame))
+            then = _literal_sexp(frame, epos, eneg)
             if cpos | cneg:
-                when = " ".join(_literal_sexp(LiteralSet(cpos, cneg), frame))
-                effs.append(f"(when (and {when}) (and {then}))")
+                effs.append(f"(when (and {_literal_sexp(frame, cpos, cneg)}) (and {then}))")
             else:
                 effs.append(then)
         lines.append(f"    :effect (and {' '.join(effs)})")
@@ -74,7 +74,7 @@ def write_problem(
     lines.append(f"  (:domain {_check_name(domain_name)})")
     init = " ".join(f"({frame.fluents[f]})" for f in bit_ids(problem.init))
     lines.append(f"  (:init {init})")
-    lines.append(f"  (:goal (and {' '.join(_literal_sexp(problem.goal, frame))}))")
+    lines.append(f"  (:goal (and {_literal_sexp(frame, problem.goal.pos, problem.goal.neg)}))")
     lines.append(")")
     return "\n".join(lines) + "\n"
 
@@ -165,6 +165,18 @@ def _model_errors_as_parse_errors(read):
     return reader
 
 
+def _sections(sexp, kinds: tuple[str, ...]) -> list:
+    """The ``(:kind ...)`` sections after a ``define`` header; a bare atom or
+    a section of any other kind is a :class:`ParseError`."""
+    for section in sexp[2:]:
+        if not isinstance(section, list) or not section or section[0] not in kinds:
+            raise ParseError(f"malformed PDDL: unsupported section {section!r}")
+    return sexp[2:]
+
+
+_ACTION_KEYS = (":parameters", ":precondition", ":effect")
+
+
 @_model_errors_as_parse_errors
 def read_domain(text: str) -> Frame:
     sexp = _read_sexp(text)
@@ -172,7 +184,7 @@ def read_domain(text: str) -> Frame:
         raise ParseError("not a PDDL domain")
     builder = FrameBuilder()
     actions = []
-    for section in sexp[2:]:
+    for section in _sections(sexp, (":requirements", ":predicates", ":action")):
         if section[0] == ":predicates":
             for pred in section[1:]:
                 if not isinstance(pred, list) or len(pred) != 1:
@@ -180,11 +192,19 @@ def read_domain(text: str) -> Frame:
                 builder.fluent(pred[0])
         elif section[0] == ":action":
             actions.append(section)
-        elif section[0] == ":requirements":
-            continue
     for section in actions:
         name = section[1]
-        fields = dict(zip(section[2::2], section[3::2]))
+        keys, values = section[2::2], section[3::2]
+        if (
+            len(keys) != len(values)
+            or any(key not in _ACTION_KEYS for key in keys)
+            or len(set(keys)) != len(keys)
+        ):
+            raise ParseError(
+                f"malformed PDDL: action {name!r} needs keyword/value pairs, each "
+                f"of {_ACTION_KEYS} at most once, got {section[2:]!r}"
+            )
+        fields = dict(zip(keys, values))
         params = fields.get(":parameters", [])
         if params:
             raise ParseError(f"action {name!r}: only ground actions supported")
@@ -213,7 +233,7 @@ def read_problem(text: str, frame: Frame, label: Label = Label.POSITIVE) -> Clas
     name = sexp[1][1]
     init_names: list[str] = []
     goal = LiteralSet()
-    for section in sexp[2:]:
+    for section in _sections(sexp, (":domain", ":init", ":goal")):
         if section[0] == ":init":
             for item in section[1:]:
                 pairs = _flatten_literals(item)

@@ -144,7 +144,7 @@ class TestSynth:
             [InstanceSpec(1, Label.POSITIVE, goal_override=("val_a_1", "val_a_0"))],
         )
         code = main(["synth", "--problem", str(path), "--lines", "1",
-                     "--out", str(tmp_path / "p.txt"), "--strategy", "bfs"])
+                     "--out", str(tmp_path / "p.txt"), "--heuristic", "blind"])
         assert code == EXIT_UNSOLVABLE
 
     def test_budget_exhausted_exit_code(self, trisum_problem, tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -10,7 +11,7 @@ from gpsyn.compiler import (
     decode_program,
     decode_trace,
 )
-from gpsyn.errors import MalformedPlanError, VariantMismatchError
+from gpsyn.errors import MalformedPlanError, ModelError, VariantMismatchError
 from gpsyn.interpreter import FailureKind, validate_program
 from gpsyn.model import (
     ClassicalInstance,
@@ -98,7 +99,7 @@ class TestStructure:
 
     def test_action_order_is_pinned(self):
         # Action order fixes which plan BFS and GBFS find, so a change to the
-        # builder must keep these lists.
+        # builder must keep these lists, and the masks behind them.
         problem = tiny_problem()
         frame = problem.frame
         neg = ClassicalInstance(
@@ -110,7 +111,14 @@ class TestStructure:
         def names(compiled):
             return [act.name for act in compiled.frame.actions]
 
-        assert names(compile_synthesis_positive(problem, 1)) == [
+        def digest(compiled):
+            actions = [(a.name, a.pre.pos, a.pre.neg, a.cond) for a in compiled.frame.actions]
+            goal = (compiled.goal.pos, compiled.goal.neg)
+            blob = repr((compiled.frame.fluents, compiled.init, goal, actions))
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        positive = compile_synthesis_positive(problem, 1)
+        assert names(positive) == [
             "prog__set_p__l0", "exec__set_p__l0",
             "prog__goto_0_p__l0", "exec__goto_0_p__l0",
             "prog__goto_0_q__l0", "exec__goto_0_q__l0",
@@ -119,7 +127,8 @@ class TestStructure:
             "prog__end__l0__t1", "exec__end__l0__t1",
             "prog__end__l1__t1", "exec__end__l1__t1",
         ]
-        assert names(compile_synthesis_pn(with_neg, 1)) == [
+        pn = compile_synthesis_pn(with_neg, 1)
+        assert names(pn) == [
             "prog__set_p__l0", "check__set_p__l0", "exec__set_p__l0",
             "prog__goto_0_p__l0", "check__goto_0_p__l0", "exec__goto_0_p__l0",
             "prog__goto_0_q__l0", "check__goto_0_q__l0", "exec__goto_0_q__l0",
@@ -131,17 +140,57 @@ class TestStructure:
             "prog__end__l1__t2", "check__end__l1__t2", "exec__end__l1__t2",
             "store", "compare", "process", "skip__t1", "skip__t2",
         ]
-        assert names(compile_validation(problem, program)) == [
+        validation = compile_validation(problem, program)
+        assert names(validation) == [
             "check__set_p__l0", "exec__set_p__l0",
             "check__end__l1__t1", "exec__end__l1__t1",
             "store", "compare", "process",
         ]
         # A negative gets an end check but no end execution, and a skip.
-        assert names(compile_validation(with_neg, program)) == [
+        validation_neg = compile_validation(with_neg, program)
+        assert names(validation_neg) == [
             "check__set_p__l0", "exec__set_p__l0",
             "check__end__l1__t1", "exec__end__l1__t1", "check__end__l1__t2",
             "store", "compare", "process", "skip__t2",
         ]
+        # sha256 over the fluents, init, goal and every action's name,
+        # precondition masks and effect tuples
+        assert [digest(c) for c in (positive, pn, validation, validation_neg)] == [
+            "7876c879baced7e3589ac9bae4d6b2bfa1df9e8912845161f53228fa4a7550e0",
+            "f2f08c4e4c53c63cc5f43d5872e7aa2d9954f36cf33d14cfc1b74c08c45bee63",
+            "74e3096bea07bb0bf3d7ad6e889246e6455206d637b9708ced835abd4c0c98cd",
+            "9185bb59194c5ad1d41076a0908ab9421cdf5827b4487f83dd8a3229d301e99f",
+        ]
+
+    @pytest.mark.parametrize(
+        "name, clashing",
+        [
+            ("done", {"positive", "validation", "pn"}),
+            ("pc_0", {"positive", "validation", "pn"}),
+            ("test_1", {"positive", "validation", "pn"}),
+            ("ins_0_nil", {"positive", "validation", "pn"}),
+            ("checked", {"validation", "pn"}),
+            ("negex", {"pn"}),
+        ],
+    )
+    def test_base_fluent_with_a_compiled_name_is_rejected(self, name, clashing):
+        b = FrameBuilder()
+        b.fluent("p"), b.fluent(name)
+        b.action("set_p", cond=[([], ["p"])])
+        frame = b.build()
+        inst = ClassicalInstance(frame, "one", frame.state([]), frame.literal_set("p"))
+        problem = GeneralizedProblem(frame, (inst,))
+        compilations = {
+            "positive": lambda: compile_synthesis_positive(problem, 1),
+            "validation": lambda: compile_validation(problem, parse_program("0. set_p\n1. end\n")),
+            "pn": lambda: compile_synthesis_pn(problem, 1),
+        }
+        for variant, compile_ in compilations.items():
+            if variant in clashing:
+                with pytest.raises(ModelError, match=f"'{name}'"):
+                    compile_()
+            else:
+                assert name in compile_().frame.fluents
 
     def test_forward_goto_pruning_shrinks_ins_family(self, corridor_task):
         full = compile_synthesis_pn(corridor_task, 2)

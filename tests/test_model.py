@@ -2,8 +2,6 @@ import dataclasses
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gpsyn.errors import ConflictError, ModelError
 from gpsyn.model import (
@@ -32,24 +30,6 @@ class TestLiteralSet:
     def test_rejects_conflicting_polarities(self):
         with pytest.raises(ConflictError):
             LiteralSet(pos=0b01, neg=0b01)
-
-    def test_union_detects_conflict(self):
-        a = LiteralSet(pos=0b1)
-        b = LiteralSet(neg=0b1)
-        with pytest.raises(ConflictError):
-            a.union(b)
-
-    def test_union_merges(self):
-        a = LiteralSet(pos=0b001, neg=0b100)
-        b = LiteralSet(pos=0b010)
-        merged = a.union(b)
-        assert (merged.pos, merged.neg) == (0b011, 0b100)
-
-    @given(st.integers(0, 2**10 - 1), st.integers(0, 2**10 - 1))
-    def test_union_consistency_closed_only_when_checked(self, pos, neg):
-        pos &= ~neg
-        ls = LiteralSet(pos, neg)
-        assert len(ls) == (pos | neg).bit_count()
 
 
 class TestApplicability:
@@ -183,15 +163,15 @@ class TestValidateSequentialPlan:
                 return all(state[t.lstrip("!")] == (t[0] != "!") for t in texts)
 
             for action in plan:
-                if not all_hold(action.pre.texts(frame)):
+                if not all_hold(frame.texts(action.pre.pos, action.pre.neg)):
                     return False
                 new = dict(state)
                 for cpos, cneg, epos, eneg in action.cond:
-                    if all_hold(LiteralSet(cpos, cneg).texts(frame)):
-                        for t in LiteralSet(epos, eneg).texts(frame):
+                    if all_hold(frame.texts(cpos, cneg)):
+                        for t in frame.texts(epos, eneg):
                             new[t.lstrip("!")] = t[0] != "!"
                 state = new
-            return all_hold(inst.goal.texts(frame))
+            return all_hold(frame.texts(inst.goal.pos, inst.goal.neg))
 
         rng = random.Random(11)
         for _ in range(100):

@@ -9,7 +9,6 @@ from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     Label,
-    LiteralSet,
     successor_bits,
     validate_sequential_plan,
 )
@@ -199,8 +198,8 @@ def reference_h_add(frame, goal, bits):
     Σ cost[pre])`` is repeated over all of them until no cost changes."""
     ops = [
         (
-            set(act.pre.texts(frame)) | set(LiteralSet(cpos, cneg).texts(frame)),
-            LiteralSet(epos, eneg).texts(frame),
+            set(frame.texts(act.pre.pos, act.pre.neg)) | set(frame.texts(cpos, cneg)),
+            frame.texts(epos, eneg),
         )
         for act in frame.actions
         for cpos, cneg, epos, eneg in act.cond
@@ -216,7 +215,7 @@ def reference_h_add(frame, goal, bits):
                     if c < cost.get(q, INF):
                         cost[q] = c
                         changed = True
-    return sum(cost.get(g, INF) for g in goal.texts(frame))
+    return sum(cost.get(g, INF) for g in frame.texts(goal.pos, goal.neg))
 
 
 def bfs_states(inst, limit):

@@ -174,6 +174,13 @@ class TestPddl:
             "(define (domain d) (:predicates (a)) (:action x :effect (when (and (a)))))",
             "(define (problem))",
             "(define (domain d) (:action x (a) b))",
+            "(define (domain d) (:predicates (a)) (:action x :effect (and (a)) :precondition))",
+            "(define (domain d) (:predicates (a)) (:action x :bogus (a)))",
+            "(define (domain d) (:predicates (a)) (:action x :effect (and (a)) :effect (a)))",
+            "(define (domain d) (:types t))",
+            "(define (domain d) junk)",
+            "(define (problem p) (:domain d) (:objects o))",
+            "(define (problem p) junk)",
         ],
     )
     def test_reader_rejects_truncated_forms(self, text):
