@@ -10,7 +10,9 @@ of a precondition or a goal, tested on a state with :meth:`LiteralSet.holds`.
 :mod:`gpsyn.compiler` reuse these types, so the representation has to stay
 cheap at a few hundred fluents.
 
-:func:`successor_bits` is the one successor function.
+:func:`successor_bits` is the one successor function, and
+:func:`triggered_masks` the one place conditional effects are evaluated; it
+tests only the branches whose trigger bit (see :class:`Action`) is set.
 
 All types are immutable values after construction and safe to share.
 """
@@ -64,7 +66,8 @@ class LiteralSet:
 class Action:
     """A ground action: a precondition plus conditional effects, each a
     ``(cond.pos, cond.neg, eff.pos, eff.neg)`` mask tuple whose effect fires
-    when its condition holds."""
+    when its condition holds. A branch's trigger is the lowest bit of its
+    ``cond.pos``: it cannot fire in a state without that bit."""
 
     name: str
     pre: LiteralSet
@@ -79,6 +82,20 @@ class Action:
                     f"action {self.name!r}: conditional effect assigns both polarities "
                     f"to fluents {bit_ids(cpos & cneg | epos & eneg)}"
                 )
+
+    @cached_property
+    def _triggers(self) -> tuple[int, dict, list]:
+        """``(trigger_mask, groups, always)``: the OR of the triggers, the
+        branches grouped by trigger, and the branches with ``cond.pos`` 0."""
+        trigger_mask, groups, always = 0, {}, []
+        for branch in self.cond:
+            low = branch[0] & -branch[0]
+            if low:
+                trigger_mask |= low
+                groups.setdefault(low, []).append(branch)
+            else:
+                always.append(branch)
+        return trigger_mask, groups, always
 
 
 @dataclass(frozen=True)
@@ -270,14 +287,24 @@ def triggered_masks(bits: int, action: Action) -> tuple[int, int]:
 
     This is the single place conditional effects are evaluated: the
     interpreter, the planner, plan replay and trace decoding all reach it
-    through :func:`successor_bits`. Raises :class:`ConflictError` when two
-    triggered effects assert opposite polarities of one fluent; the paper
-    assumes consistency WLOG, so a clash means the domain encoding is broken
-    and must not be papered over.
+    through :func:`successor_bits`. Only the branches whose trigger is set
+    in ``bits``, and those with no positive condition, are tested. Raises
+    :class:`ConflictError` when two triggered effects assert opposite
+    polarities of one fluent; the paper assumes consistency WLOG, so a clash
+    means the domain encoding is broken and must not be papered over.
     """
+    trigger_mask, groups, always = action._triggers
     pos = neg = 0
-    for cpos, cneg, epos, eneg in action.cond:
-        if (bits & cpos) == cpos and not bits & cneg:
+    m = bits & trigger_mask
+    while m:
+        low = m & -m
+        m ^= low
+        for cpos, cneg, epos, eneg in groups[low]:
+            if (bits & cpos) == cpos and not bits & cneg:
+                pos |= epos
+                neg |= eneg
+    for _, cneg, epos, eneg in always:
+        if not bits & cneg:
             pos |= epos
             neg |= eneg
     if pos & neg:
@@ -314,10 +341,8 @@ def validate_sequential_plan(problem, plan: PlanLike) -> bool:
 def bit_ids(mask: int) -> list[int]:
     """Indices of the set bits of ``mask``, ascending."""
     ids = []
-    i = 0
     while mask:
-        if mask & 1:
-            ids.append(i)
-        mask >>= 1
-        i += 1
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
     return ids

@@ -6,8 +6,9 @@ a parameterless action. Requirements are ``:strips :negative-preconditions
 the writer emits round-trips; action and fluent names are preserved verbatim
 (a compiled action's name is its decode role's ``Role.name``, which therefore
 survives the round-trip). An undeclared predicate, a duplicate name, a
-section or action keyword outside this fragment, or a keyword with no value
-in the input is a :class:`ParseError`.
+section or action keyword outside this fragment, a keyword with no value, or
+a repeated problem section or a ``:goal`` of several formulas in the input is
+a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -233,7 +234,11 @@ def read_problem(text: str, frame: Frame, label: Label = Label.POSITIVE) -> Clas
     name = sexp[1][1]
     init_names: list[str] = []
     goal = LiteralSet()
+    seen = set()
     for section in _sections(sexp, (":domain", ":init", ":goal")):
+        if section[0] in seen or section[0] != ":init" and len(section) != 2:
+            raise ParseError(f"malformed PDDL: repeated section or not one value: {section!r}")
+        seen.add(section[0])
         if section[0] == ":init":
             for item in section[1:]:
                 pairs = _flatten_literals(item)

@@ -12,6 +12,7 @@ from gpsyn.model import (
     GeneralizedProblem,
     Label,
     LiteralSet,
+    bit_ids,
     successor_bits,
     triggered_masks,
     validate_sequential_plan,
@@ -96,6 +97,79 @@ class TestTriggeredEffects:
         assert bits >> f & 1
         pos, _ = triggered_masks(bits, compare)
         assert pos >> compiled.frame.fluent_id("correct_at_1") & 1
+
+    def test_agrees_with_flat_scan_on_wide_random_actions(self):
+        # The trigger index against a flat scan of every branch, on actions
+        # with empty and negative-only conditions, shared triggers and, in
+        # half of them, effects that can clash.
+        def flat_scan(bits, action):
+            pos = neg = 0
+            for cpos, cneg, epos, eneg in action.cond:
+                if bits & cpos == cpos and not bits & cneg:
+                    pos |= epos
+                    neg |= eneg
+            both = pos & neg
+            clash = [f for f in range(both.bit_length()) if both >> f & 1]
+            if clash:
+                raise ConflictError(
+                    f"action {action.name!r} triggers conflicting effects on fluents {clash}"
+                )
+            return pos, neg
+
+        def literals(fluents, polarity):
+            pos = neg = 0
+            for f in fluents:
+                if polarity(f):
+                    pos |= 1 << f
+                else:
+                    neg |= 1 << f
+            return pos, neg
+
+        rng = random.Random(2024)
+        outcomes = {"clash": 0, "no clash": 0}
+        shared = always = 0
+        for a in range(60):
+            width = rng.randint(8, 12)
+            fixed = {f: rng.random() < 0.5 for f in range(width)}
+            may_clash = a % 2 == 0
+            cond = []
+            for _ in range(rng.randint(20, 80)):
+                cpos, cneg = literals(
+                    rng.sample(range(width), rng.randint(0, 3)), lambda f: rng.random() < 0.6
+                )
+                epos, eneg = literals(
+                    rng.sample(range(width), rng.randint(1, 2)),
+                    (lambda f: rng.random() < 0.5) if may_clash else fixed.__getitem__,
+                )
+                cond.append((cpos, cneg, epos, eneg))
+            action = Action(f"wide_{a}", LiteralSet(), tuple(cond))
+            lows = [c[0] & -c[0] for c in cond if c[0]]
+            shared += len(lows) - len(set(lows))
+            always += len(cond) - len(lows)
+            for _ in range(40):
+                bits = rng.getrandbits(width)
+                try:
+                    expected = flat_scan(bits, action)
+                except ConflictError as exc:
+                    with pytest.raises(ConflictError) as got:
+                        triggered_masks(bits, action)
+                    assert str(got.value) == str(exc)
+                    outcomes["clash"] += 1
+                else:
+                    assert triggered_masks(bits, action) == expected
+                    outcomes["no clash"] += 1
+        assert shared and always
+        assert all(outcomes.values()), outcomes
+
+
+class TestBitIds:
+    def test_matches_bit_by_bit_scan(self):
+        rng = random.Random(5)
+        masks = [0, 1, 1 << 999]
+        masks += [sum(1 << b for b in rng.sample(range(1000), rng.randint(1, 12))) for _ in range(50)]
+        masks += [rng.getrandbits(rng.randint(1, 1000)) for _ in range(50)]
+        for m in masks:
+            assert bit_ids(m) == [i for i in range(m.bit_length()) if m >> i & 1]
 
 
 class TestSuccessor:

@@ -181,6 +181,10 @@ class TestPddl:
             "(define (domain d) junk)",
             "(define (problem p) (:domain d) (:objects o))",
             "(define (problem p) junk)",
+            "(define (problem p) (:domain d) (:goal (a)) (:goal (not (a))))",
+            "(define (problem p) (:domain d) (:init (a)) (:init) (:goal (a)))",
+            "(define (problem p) (:domain d) (:domain d) (:goal (a)))",
+            "(define (problem p) (:domain d) (:goal (a) (not (b))))",
         ],
     )
     def test_reader_rejects_truncated_forms(self, text):
