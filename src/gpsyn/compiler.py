@@ -23,8 +23,8 @@ from the role alone.
 The builder holds every compiled fluent (``pc``, ``ins``, ``nil``, ``test``,
 ``done``, the gadget's flags, copies and corrects, ``negex``) as its bit, and
 writes each effect directly as a ``(cond.pos, cond.neg, eff.pos, eff.neg)``
-mask tuple; :class:`~gpsyn.model.LiteralSet` only wraps the checked
-precondition of each action and the goal. Compiled instances use the same
+mask tuple and each precondition, like the ``(done, 0)`` goal, as a
+``(pos, neg)`` mask pair. Compiled instances use the same
 frame/state types as ordinary instances, with base fluents keeping their
 original ids, so the planner runs on them directly and solution plans decode
 back into programs and per-instance outcomes.
@@ -43,7 +43,6 @@ from .model import (
     Frame,
     GeneralizedProblem,
     Label,
-    LiteralSet,
     validate_sequential_plan,
 )
 from .program import (
@@ -98,7 +97,7 @@ class CompiledInstance:
 
     frame: Frame
     init: int
-    goal: LiteralSet
+    goal: tuple[int, int]
     variant: Variant
     lines: int
     instance_names: tuple[str, ...]
@@ -220,12 +219,11 @@ class _Builder:
     def _pre_of(self, ins: Instruction, t: int | None) -> tuple[int, int]:
         """The instruction's own precondition (goal + test for end copies)."""
         if isinstance(ins, ActInstruction):
-            pre = self.base.action(ins.action).pre
-            return pre.pos, pre.neg
+            return self.base.action(ins.action).pre
         if isinstance(ins, GotoInstruction):
             return 0, 0
-        goal = self.gp.instances[t - 1].goal
-        return goal.pos | self.test[t - 1], goal.neg
+        pos, neg = self.gp.instances[t - 1].goal
+        return pos | self.test[t - 1], neg
 
     def _end_effects(self, t: int) -> tuple[int, int]:
         """What finishing instance ``t`` does: restart execution on instance
@@ -249,7 +247,7 @@ class _Builder:
     # -- action constructors ------------------------------------------------
 
     def _add_action(self, role: Role, pos: int, neg: int, cond) -> None:
-        self.actions.append(Action(role.name, LiteralSet(pos, neg), tuple(cond)))
+        self.actions.append(Action(role.name, (pos, neg), tuple(cond)))
         self.roles.append(role)
 
     def _prog_action(self, ins: Instruction, i: int, t: int | None) -> None:
@@ -385,7 +383,7 @@ class _Builder:
         return CompiledInstance(
             frame=frame,
             init=self._init_state(),
-            goal=LiteralSet(self.done),
+            goal=(self.done, 0),
             variant=self.variant,
             lines=self.n,
             instance_names=tuple(inst.name for inst in self.gp.instances),

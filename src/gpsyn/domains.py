@@ -404,7 +404,7 @@ def build_task(domain: str, specs: list[InstanceSpec]) -> GeneralizedProblem:
                 frame,
                 spec.name or f"{domain}-{spec.size}-{spec.label.value}-{index}",
                 frame.state(init),
-                frame.literal_set(*goal),
+                frame.masks(*goal),
                 spec.label,
             )
         )

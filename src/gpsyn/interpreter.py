@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import ExecutionResourceError
-from .model import ClassicalInstance, Frame, GeneralizedProblem, successor_bits
+from .model import ClassicalInstance, Frame, GeneralizedProblem, holds, successor_bits
 from .program import ActInstruction, GotoInstruction, Program
 
 # Cap on distinct program states remembered per execution (configurable).
@@ -104,7 +104,7 @@ def execute(
         kind = op[0]
         if kind == _ACT:
             action = op[1]
-            if not action.pre.holds(bits):
+            if not holds(bits, action.pre):
                 return ExecutionOutcome(
                     solved=False,
                     steps=steps,
@@ -117,7 +117,7 @@ def execute(
             # Fall through when the fluent is true, jump when it is false.
             pc = pc + 1 if bits >> op[2] & 1 else op[1]
         else:
-            solved = instance.goal.holds(bits)
+            solved = holds(bits, instance.goal)
             return ExecutionOutcome(
                 solved=solved,
                 steps=steps,

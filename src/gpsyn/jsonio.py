@@ -47,7 +47,7 @@ def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -
             "actions": [
                 {
                     "name": act.name,
-                    "pre": frame.texts(act.pre.pos, act.pre.neg),
+                    "pre": frame.texts(*act.pre),
                     "effects": [
                         {"when": frame.texts(cpos, cneg), "then": frame.texts(epos, eneg)}
                         for cpos, cneg, epos, eneg in act.cond
@@ -61,7 +61,7 @@ def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -
                 "name": inst.name,
                 "label": inst.label.value,
                 "init": [frame.fluents[f] for f in bit_ids(inst.init)],
-                "goal": frame.texts(inst.goal.pos, inst.goal.neg),
+                "goal": frame.texts(*inst.goal),
             }
             for inst in problem.instances
         ],
@@ -94,7 +94,7 @@ def problem_from_dict(doc: dict) -> GeneralizedProblem:
                     frame,
                     str(inst["name"]),
                     frame.state(str(t) for t in inst["init"]),
-                    frame.literal_set(*[str(t) for t in inst["goal"]]),
+                    frame.masks(*[str(t) for t in inst["goal"]]),
                     label,
                 )
             )

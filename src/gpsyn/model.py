@@ -1,14 +1,14 @@
 """Propositional planning model with conditional effects.
 
 Fluents are names, indexed by their position in :attr:`Frame.fluents`. A
-state is an int bitmask whose bit ``f`` is set iff fluent ``f`` is true. An
-action's conditional effects are ``(cond.pos, cond.neg, eff.pos, eff.neg)``
-mask tuples, and :class:`LiteralSet` is only the checked ``(pos, neg)`` pair
-of a precondition or a goal, tested on a state with :meth:`LiteralSet.holds`.
-:meth:`Frame.literal_set` parses ``"name"`` / ``"!name"`` texts into masks and
-:meth:`Frame.texts` prints masks back. Compiled instances produced by
-:mod:`gpsyn.compiler` reuse these types, so the representation has to stay
-cheap at a few hundred fluents.
+state is an int bitmask whose bit ``f`` is set iff fluent ``f`` is true. A
+precondition or a goal is a ``(pos, neg)`` mask pair, tested on a state with
+:func:`holds`, and an action's conditional effects are ``(cond.pos, cond.neg,
+eff.pos, eff.neg)`` mask tuples; the type that owns a pair rejects a fluent in
+both masks. :meth:`Frame.masks` parses ``"name"`` / ``"!name"`` texts into a
+mask pair and :meth:`Frame.texts` prints masks back. Compiled instances
+produced by :mod:`gpsyn.compiler` reuse these types, so the representation
+has to stay cheap at a few hundred fluents.
 
 :func:`successor_bits` is the one successor function, and
 :func:`triggered_masks` the one place conditional effects are evaluated; it
@@ -27,61 +27,30 @@ from typing import Iterable, Sequence, Union
 from .errors import ConflictError, ModelError
 
 
-class LiteralSet:
-    """The checked ``(pos, neg)`` mask pair of a precondition or a goal.
-
-    ``pos`` holds the fluents asserted true and ``neg`` those asserted false;
-    construction rejects a fluent in both with :class:`ConflictError`.
-    """
-
-    __slots__ = ("pos", "neg")
-
-    def __init__(self, pos: int = 0, neg: int = 0):
-        if pos & neg:
-            raise ConflictError(
-                f"literal set assigns both polarities to fluents {bit_ids(pos & neg)}"
-            )
-        self.pos = pos
-        self.neg = neg
-
-    def holds(self, bits: int) -> bool:
-        """True iff every literal holds in the state bitmask ``bits``."""
-        return (bits & self.pos) == self.pos and (bits & self.neg) == 0
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, LiteralSet)
-            and self.pos == other.pos
-            and self.neg == other.neg
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.pos, self.neg))
-
-    def __repr__(self) -> str:
-        return f"LiteralSet(pos={self.pos:#x}, neg={self.neg:#x})"
-
-
 @dataclass(frozen=True)
 class Action:
     """A ground action: a precondition plus conditional effects, each a
     ``(cond.pos, cond.neg, eff.pos, eff.neg)`` mask tuple whose effect fires
-    when its condition holds. A branch's trigger is the lowest bit of its
-    ``cond.pos``: it cannot fire in a state without that bit."""
+    when its condition holds. The precondition is a ``(pos, neg)`` mask
+    pair. A branch's trigger is the lowest bit of its ``cond.pos``: it cannot
+    fire in a state without that bit."""
 
     name: str
-    pre: LiteralSet
+    pre: tuple[int, int]
     cond: tuple[tuple[int, int, int, int], ...]
 
     def __post_init__(self):
+        pos, neg = self.pre
+        clash = pos & neg
         for cpos, cneg, epos, eneg in self.cond:
             if not epos | eneg:
                 raise ModelError(f"action {self.name!r}: conditional effect with empty effect set")
-            if cpos & cneg or epos & eneg:
-                raise ConflictError(
-                    f"action {self.name!r}: conditional effect assigns both polarities "
-                    f"to fluents {bit_ids(cpos & cneg | epos & eneg)}"
-                )
+            clash |= cpos & cneg | epos & eneg
+        if clash:
+            raise ConflictError(
+                f"action {self.name!r}: precondition or conditional effect assigns "
+                f"both polarities to fluents {bit_ids(clash)}"
+            )
 
     @cached_property
     def _triggers(self) -> tuple[int, dict, list]:
@@ -119,7 +88,7 @@ class Frame:
             if act.name in seen:
                 raise ModelError(f"duplicate action name {act.name!r}")
             seen.add(act.name)
-            masks = [act.pre.pos, act.pre.neg]
+            masks = list(act.pre)
             for branch in act.cond:
                 masks += branch
             for m in masks:
@@ -156,13 +125,13 @@ class Frame:
     def has_action(self, name: str) -> bool:
         return name in self._actions_by_name
 
-    def literal_set(self, *texts: str) -> LiteralSet:
-        """Parse ``"name"`` / ``"!name"`` texts into a literal set."""
-        return _literal_set(texts, self._fluent_ids)
+    def masks(self, *texts: str) -> tuple[int, int]:
+        """Parse ``"name"`` / ``"!name"`` texts into a ``(pos, neg)`` mask pair."""
+        return _masks(texts, self._fluent_ids)
 
     def texts(self, pos: int, neg: int) -> list[str]:
         """The literals of the masks ``pos`` (true) and ``neg`` (false) as
-        ``"name"`` / ``"!name"`` texts, the inverse of :meth:`literal_set`:
+        ``"name"`` / ``"!name"`` texts, the inverse of :meth:`masks`:
         the true ones first, each in fluent order."""
         names = self.fluents
         return [names[f] for f in bit_ids(pos)] + ["!" + names[f] for f in bit_ids(neg)]
@@ -175,8 +144,9 @@ class Frame:
         return bits
 
 
-def _literal_set(texts: Iterable[str], ids: dict) -> LiteralSet:
-    """Parse ``"name"`` / ``"!name"`` texts, with fluent ids from ``ids``."""
+def _masks(texts: Iterable[str], ids: dict) -> tuple[int, int]:
+    """Parse ``"name"`` / ``"!name"`` texts into a ``(pos, neg)`` mask pair,
+    with fluent ids from ``ids``."""
     pos = neg = 0
     try:
         for text in texts:
@@ -186,7 +156,7 @@ def _literal_set(texts: Iterable[str], ids: dict) -> LiteralSet:
                 pos |= 1 << ids[text]
     except KeyError as exc:
         raise ModelError(f"unknown fluent {exc.args[0]!r}") from None
-    return LiteralSet(pos, neg)
+    return pos, neg
 
 
 class FrameBuilder:
@@ -197,13 +167,9 @@ class FrameBuilder:
         self._ids: dict[str, int] = {}
         self._actions: list[Action] = []
 
-    def fluent(self, name: str) -> int:
-        if name in self._ids:
-            raise ModelError(f"duplicate fluent name {name!r}")
-        idx = len(self._fluents)
+    def fluent(self, name: str) -> None:
+        self._ids[name] = len(self._fluents)
         self._fluents.append(name)
-        self._ids[name] = idx
-        return idx
 
     def action(
         self,
@@ -211,11 +177,9 @@ class FrameBuilder:
         pre: Iterable[str] = (),
         cond: Iterable[tuple[Iterable[str], Iterable[str]]] = (),
     ) -> None:
-        effects = []
-        for c, e in cond:
-            when, then = _literal_set(c, self._ids), _literal_set(e, self._ids)
-            effects.append((when.pos, when.neg, then.pos, then.neg))
-        self._actions.append(Action(name, _literal_set(pre, self._ids), tuple(effects)))
+        ids = self._ids
+        effects = tuple((*_masks(when, ids), *_masks(then, ids)) for when, then in cond)
+        self._actions.append(Action(name, _masks(pre, ids), effects))
 
     def build(self) -> Frame:
         return Frame(tuple(self._fluents), tuple(self._actions))
@@ -233,14 +197,20 @@ class ClassicalInstance:
     frame: Frame
     name: str
     init: int
-    goal: LiteralSet
+    goal: tuple[int, int]
     label: Label = Label.POSITIVE
 
     def __post_init__(self):
         if self.init >> self.frame.width:
             raise ModelError(f"instance {self.name!r}: init references fluents outside the frame")
-        if (self.goal.pos | self.goal.neg) >> self.frame.width:
+        pos, neg = self.goal
+        if (pos | neg) >> self.frame.width:
             raise ModelError(f"instance {self.name!r}: goal references unknown fluents")
+        if pos & neg:
+            raise ConflictError(
+                f"instance {self.name!r}: goal assigns both polarities to fluents "
+                f"{bit_ids(pos & neg)}"
+            )
 
     @property
     def is_positive(self) -> bool:
@@ -323,6 +293,13 @@ def successor_bits(bits: int, action: Action) -> int:
     return (bits | pos) & ~neg
 
 
+def holds(bits: int, pair: tuple[int, int]) -> bool:
+    """True iff the ``(pos, neg)`` mask pair ``pair`` (a precondition or a
+    goal) holds in the state bitmask ``bits``."""
+    pos, neg = pair
+    return (bits & pos) == pos and not bits & neg
+
+
 def validate_sequential_plan(problem, plan: PlanLike) -> bool:
     """True iff every action applies in sequence and the goal holds at the end.
 
@@ -332,10 +309,10 @@ def validate_sequential_plan(problem, plan: PlanLike) -> bool:
     bits = problem.init
     for entry in plan:
         action = problem.frame.actions[entry] if isinstance(entry, int) else entry
-        if not action.pre.holds(bits):
+        if not holds(bits, action.pre):
             return False
         bits = successor_bits(bits, action)
-    return problem.goal.holds(bits)
+    return holds(bits, problem.goal)
 
 
 def bit_ids(mask: int) -> list[int]:

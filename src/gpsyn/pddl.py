@@ -6,9 +6,10 @@ a parameterless action. Requirements are ``:strips :negative-preconditions
 the writer emits round-trips; action and fluent names are preserved verbatim
 (a compiled action's name is its decode role's ``Role.name``, which therefore
 survives the round-trip). An undeclared predicate, a duplicate name, a
-section or action keyword outside this fragment, a keyword with no value, or
-a repeated problem section or a ``:goal`` of several formulas in the input is
-a :class:`ParseError`.
+clashing precondition, effect or goal, a section, requirement or action
+keyword outside this fragment, a keyword with no value, a repeated
+``:requirements``, ``:predicates`` or problem section, or a ``:goal`` of
+several formulas in the input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from .model import (
     Frame,
     FrameBuilder,
     Label,
-    LiteralSet,
     bit_ids,
 )
+
+_REQUIREMENTS = (":strips", ":negative-preconditions", ":conditional-effects")
 
 _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
 
@@ -44,13 +46,13 @@ def _literal_sexp(frame: Frame, pos: int, neg: int) -> str:
 
 def write_domain(frame: Frame, domain_name: str = "gpsyn-domain") -> str:
     lines = [f"(define (domain {_check_name(domain_name)})"]
-    lines.append("  (:requirements :strips :negative-preconditions :conditional-effects)")
+    lines.append(f"  (:requirements {' '.join(_REQUIREMENTS)})")
     preds = " ".join(f"({_check_name(name)})" for name in frame.fluents)
     lines.append(f"  (:predicates {preds})")
     for act in frame.actions:
         lines.append(f"  (:action {_check_name(act.name)}")
         lines.append("    :parameters ()")
-        lines.append(f"    :precondition (and {_literal_sexp(frame, act.pre.pos, act.pre.neg)})")
+        lines.append(f"    :precondition (and {_literal_sexp(frame, *act.pre)})")
         effs = []
         for cpos, cneg, epos, eneg in act.cond:
             then = _literal_sexp(frame, epos, eneg)
@@ -75,7 +77,7 @@ def write_problem(
     lines.append(f"  (:domain {_check_name(domain_name)})")
     init = " ".join(f"({frame.fluents[f]})" for f in bit_ids(problem.init))
     lines.append(f"  (:init {init})")
-    lines.append(f"  (:goal (and {_literal_sexp(frame, problem.goal.pos, problem.goal.neg)}))")
+    lines.append(f"  (:goal (and {_literal_sexp(frame, *problem.goal)}))")
     lines.append(")")
     return "\n".join(lines) + "\n"
 
@@ -185,14 +187,23 @@ def read_domain(text: str) -> Frame:
         raise ParseError("not a PDDL domain")
     builder = FrameBuilder()
     actions = []
+    seen = set()
     for section in _sections(sexp, (":requirements", ":predicates", ":action")):
-        if section[0] == ":predicates":
+        if section[0] == ":action":
+            actions.append(section)
+            continue
+        if section[0] in seen:
+            raise ParseError(f"malformed PDDL: repeated section {section[0]}")
+        seen.add(section[0])
+        if section[0] == ":requirements":
+            unsupported = [req for req in section[1:] if req not in _REQUIREMENTS]
+            if unsupported:
+                raise ParseError(f"malformed PDDL: unsupported requirements {unsupported!r}")
+        else:
             for pred in section[1:]:
                 if not isinstance(pred, list) or len(pred) != 1:
                     raise ParseError(f"only 0-ary predicates supported, got {pred!r}")
                 builder.fluent(pred[0])
-        elif section[0] == ":action":
-            actions.append(section)
     for section in actions:
         name = section[1]
         keys, values = section[2::2], section[3::2]
@@ -233,7 +244,7 @@ def read_problem(text: str, frame: Frame, label: Label = Label.POSITIVE) -> Clas
         raise ParseError("not a PDDL problem")
     name = sexp[1][1]
     init_names: list[str] = []
-    goal = LiteralSet()
+    goal = (0, 0)
     seen = set()
     for section in _sections(sexp, (":domain", ":init", ":goal")):
         if section[0] in seen or section[0] != ":init" and len(section) != 2:
@@ -246,6 +257,6 @@ def read_problem(text: str, frame: Frame, label: Label = Label.POSITIVE) -> Clas
                     raise ParseError(f"unsupported init literal {item!r}")
                 init_names.append(pairs[0][0])
         elif section[0] == ":goal":
-            goal = frame.literal_set(*_text(_flatten_literals(section[1])))
+            goal = frame.masks(*_text(_flatten_literals(section[1])))
     return ClassicalInstance(frame, name, frame.state(init_names), goal, label)
 

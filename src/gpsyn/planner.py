@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import InternalConsistencyError, ModelError
-from .model import bit_ids, successor_bits, validate_sequential_plan
+from .model import bit_ids, holds, successor_bits, validate_sequential_plan
 
 INF = float("inf")
 
@@ -30,7 +30,6 @@ class Strategy(Enum):
 
 class Heuristic(Enum):
     HADD = "hadd"
-    GOAL_COUNT = "goalcount"
     BLIND = "blind"
 
 
@@ -107,17 +106,18 @@ class _HAdd:
         self.width = frame.width
         self.op_pre, self.op_add = [], []
         for act in frame.actions:
+            ppos, pneg = act.pre
             for cpos, cneg, epos, eneg in act.cond:
                 # the mask union counts a literal shared by precondition and
                 # condition once
-                self.op_pre.append(_lits(act.pre.pos | cpos, act.pre.neg | cneg))
+                self.op_pre.append(_lits(ppos | cpos, pneg | cneg))
                 self.op_add.append(_lits(epos, eneg))
         self.pre_counts = [len(p) for p in self.op_pre]
         self.consumers = [[] for _ in range(2 * frame.width)]
         for o, pre in enumerate(self.op_pre):
             for p in pre:
                 self.consumers[p].append(o)
-        self.goal_lits = _lits(goal.pos, goal.neg)
+        self.goal_lits = _lits(*goal)
         self.goal_set = frozenset(self.goal_lits)
 
     def value(self, bits: int) -> float:
@@ -189,18 +189,14 @@ def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
     """
     # Preconditions unpacked once: the search loop tests every action on
     # every expansion.
-    table = [(a.pre.pos, a.pre.neg, a) for a in problem.frame.actions]
-    goal = problem.goal
+    table = [(*a.pre, a) for a in problem.frame.actions]
     t0 = time.monotonic()
     if config.strategy is Strategy.BFS or config.heuristic is Heuristic.BLIND:
         def evaluator(bits: int) -> float:
             return 0
-    elif config.heuristic is Heuristic.GOAL_COUNT:
-        def evaluator(bits: int) -> float:
-            return (goal.pos & ~bits).bit_count() + (goal.neg & bits).bit_count()
     else:
-        evaluator = _HAdd(problem.frame, goal).value
-    result = _search(table, problem.init, goal.holds, evaluator, config, t0)
+        evaluator = _HAdd(problem.frame, problem.goal).value
+    result = _search(table, problem.init, problem.goal, evaluator, config, t0)
     if result.solved and not validate_sequential_plan(problem, result.plan.actions):
         raise InternalConsistencyError("search returned a plan that does not validate")
     return result
@@ -230,16 +226,18 @@ def _finish(status, t0, counts=(0, 0, 0, 0), parents=None, goal_bits=None):
     return SolveResult(status, Plan(tuple(reversed(actions)), stats), stats)
 
 
-def _search(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
-    """Best-first search expanding the lowest-h state first, FIFO among
-    equal h. The open list maps each h to a FIFO bucket, with a heap of the
-    h values that have one, so a constant evaluator makes this plain BFS."""
+def _search(table, start_bits, goal, evaluator, config, t0) -> SolveResult:
+    """Best-first search from ``start_bits`` to the ``(pos, neg)`` mask pair
+    ``goal``, expanding the lowest-h state first, FIFO among equal h. The
+    open list maps each h to a FIFO bucket, with a heap of the h values that
+    have one, so a constant evaluator makes this plain BFS."""
     parents = {start_bits: None}
-    if is_goal(start_bits):
+    if holds(start_bits, goal):
         return _finish(SolveStatus.SOLVED, t0, parents=parents, goal_bits=start_bits)
     h0 = evaluator(start_bits)
     if h0 == INF:
         return _finish(SolveStatus.PROVED_UNSOLVABLE, t0)
+    gpos, gneg = goal
     buckets = {h0: deque([start_bits])}
     open_hs = [h0]
     expansions = generated = evaluations = dead_ends = 0
@@ -260,7 +258,7 @@ def _search(table, start_bits, is_goal, evaluator, config, t0) -> SolveResult:
                 continue
             parents[child] = (bits, idx)
             generated += 1
-            if is_goal(child):
+            if (child & gpos) == gpos and not child & gneg:
                 counts = (expansions, generated, evaluations, dead_ends)
                 return _finish(SolveStatus.SOLVED, t0, counts, parents, child)
             h = evaluator(child)

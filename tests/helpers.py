@@ -19,7 +19,7 @@ from gpsyn.model import (
     FrameBuilder,
     GeneralizedProblem,
     Label,
-    LiteralSet,
+    holds,
     successor_bits,
 )
 from gpsyn.program import (
@@ -75,13 +75,13 @@ def random_state(rng: random.Random, frame: Frame) -> int:
     return rng.getrandbits(frame.width)
 
 
-def random_goal(rng: random.Random, frame: Frame, max_literals: int = 3) -> LiteralSet:
+def random_goal(rng: random.Random, frame: Frame, max_literals: int = 3) -> tuple[int, int]:
     count = rng.randint(1, min(max_literals, frame.width))
     texts = [
         name if rng.random() < 0.5 else "!" + name
         for name in rng.sample(frame.fluents, count)
     ]
-    return frame.literal_set(*texts)
+    return frame.masks(*texts)
 
 
 def random_generalized_problem(
@@ -134,13 +134,13 @@ END = "end"
 
 def reference_step(program: Program, frame: Frame, ps: ProgramState):
     """The instruction at ``ps.pc``, read from ``program.lines`` by name,
-    its precondition tested with ``pre.holds`` and its effects applied with
+    its precondition tested with ``model.holds`` and its effects applied with
     ``model.successor_bits``: the next :class:`ProgramState`, ``END`` at an
     end, or ``(line, action name)`` when the action is inapplicable."""
     ins = program.lines[ps.pc]
     if isinstance(ins, ActInstruction):
         action = frame.action(ins.action)
-        if not action.pre.holds(ps.bits):
+        if not holds(ps.bits, action.pre):
             return ps.pc, ins.action
         return ProgramState(successor_bits(ps.bits, action), ps.pc + 1)
     if isinstance(ins, GotoInstruction):
@@ -159,7 +159,7 @@ def reference_run(program: Program, instance: ClassicalInstance) -> ExecutionOut
         seen.add(ps)
         nxt = reference_step(program, instance.frame, ps)
         if nxt is END:
-            solved = instance.goal.holds(ps.bits)
+            solved = holds(ps.bits, instance.goal)
             failure = None if solved else FailureKind.INCOMPLETE
             return ExecutionOutcome(solved, steps, failure)
         if not isinstance(nxt, ProgramState):

@@ -157,7 +157,7 @@ def _random_synthesis_case(rng: random.Random):
                 ok = False
                 break
             names = rng.sample(frame.fluents, rng.randint(1, 2))
-            goal = frame.literal_set(
+            goal = frame.masks(
                 *[nm if final >> frame.fluent_id(nm) & 1 else "!" + nm for nm in names]
             )
             instances.append(ClassicalInstance(frame, f"pos{p}", init, goal))
@@ -167,10 +167,10 @@ def _random_synthesis_case(rng: random.Random):
             init = random_state(rng, frame)
             final = _terminal_state(hidden, frame, init)
             if final is None:
-                goal = frame.literal_set(frame.fluents[0])
+                goal = frame.masks(frame.fluents[0])
             else:
                 nm = rng.choice(frame.fluents)
-                goal = frame.literal_set(
+                goal = frame.masks(
                     "!" + nm if final >> frame.fluent_id(nm) & 1 else nm
                 )
             instances.append(
@@ -217,9 +217,9 @@ def test_criterion_4_completeness_at_tiny_scale():
     b.action("set_p", cond=[([], ["p"])])
     b.action("set_q", cond=[([], ["q"])])
     frame = b.build()
-    pos = ClassicalInstance(frame, "pos", frame.state([]), frame.literal_set("p"))
+    pos = ClassicalInstance(frame, "pos", frame.state([]), frame.masks("p"))
     neg = ClassicalInstance(
-        frame, "neg", frame.state([]), frame.literal_set("q"), Label.NEGATIVE
+        frame, "neg", frame.state([]), frame.masks("q"), Label.NEGATIVE
     )
     problem = GeneralizedProblem(frame, (pos, neg))
     alphabet = [

@@ -49,7 +49,7 @@ class TestGen:
         assert main(["gen", "robopainter", "--size", "2", "--out", str(out)]) == EXIT_OK
         problem = jsonio.load_problem(out)
         assert problem.t_total == 1
-        assert problem.instances[0].goal == problem.frame.literal_set("painted_1", "at_2")
+        assert problem.instances[0].goal == problem.frame.masks("painted_1", "at_2")
 
     def test_seeded_batch_is_byte_identical(self, tmp_path):
         out = tmp_path / "batch.json"

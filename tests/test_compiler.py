@@ -43,7 +43,7 @@ def tiny_frame():
 def tiny_problem(goal_texts=("p",), label=Label.POSITIVE, init=()):
     frame = tiny_frame()
     inst = ClassicalInstance(
-        frame, "tiny", frame.state(init), frame.literal_set(*goal_texts), label
+        frame, "tiny", frame.state(init), frame.masks(*goal_texts), label
     )
     return GeneralizedProblem(frame, (inst,))
 
@@ -67,7 +67,7 @@ class TestStructure:
             compile_synthesis_pn(corridor_task, 2),
         ):
             done = compiled.frame.fluent_id("done")
-            assert compiled.goal.pos == 1 << done and compiled.goal.neg == 0
+            assert compiled.goal == (1 << done, 0)
 
     def test_base_fluents_keep_their_ids(self, corridor_task):
         compiled = compile_synthesis_pn(corridor_task, 2)
@@ -78,7 +78,7 @@ class TestStructure:
         compiled = compile_synthesis_pn(corridor_task, 2)
         width = compiled.frame.width
         for act in compiled.frame.actions:
-            masks = [act.pre.pos, act.pre.neg]
+            masks = list(act.pre)
             for branch in act.cond:
                 masks += branch
             assert all(m >> width == 0 for m in masks)
@@ -103,7 +103,7 @@ class TestStructure:
         problem = tiny_problem()
         frame = problem.frame
         neg = ClassicalInstance(
-            frame, "neg", frame.state([]), frame.literal_set("q"), Label.NEGATIVE
+            frame, "neg", frame.state([]), frame.masks("q"), Label.NEGATIVE
         )
         with_neg = GeneralizedProblem(frame, problem.instances + (neg,))
         program = parse_program("0. set_p\n1. end\n")
@@ -112,9 +112,8 @@ class TestStructure:
             return [act.name for act in compiled.frame.actions]
 
         def digest(compiled):
-            actions = [(a.name, a.pre.pos, a.pre.neg, a.cond) for a in compiled.frame.actions]
-            goal = (compiled.goal.pos, compiled.goal.neg)
-            blob = repr((compiled.frame.fluents, compiled.init, goal, actions))
+            actions = [(a.name, *a.pre, a.cond) for a in compiled.frame.actions]
+            blob = repr((compiled.frame.fluents, compiled.init, compiled.goal, actions))
             return hashlib.sha256(blob.encode()).hexdigest()
 
         positive = compile_synthesis_positive(problem, 1)
@@ -178,7 +177,7 @@ class TestStructure:
         b.fluent("p"), b.fluent(name)
         b.action("set_p", cond=[([], ["p"])])
         frame = b.build()
-        inst = ClassicalInstance(frame, "one", frame.state([]), frame.literal_set("p"))
+        inst = ClassicalInstance(frame, "one", frame.state([]), frame.masks("p"))
         problem = GeneralizedProblem(frame, (inst,))
         compilations = {
             "positive": lambda: compile_synthesis_positive(problem, 1),
@@ -280,7 +279,7 @@ class TestValidation:
     def test_looping_program_solvable_iff_instance_negative(self, label, expect_solvable):
         frame = tiny_frame()
         inst = ClassicalInstance(
-            frame, "loops", frame.state([]), frame.literal_set("q"), label
+            frame, "loops", frame.state([]), frame.masks("q"), label
         )
         problem = GeneralizedProblem(frame, (inst,))
         looping = parse_program("0. goto(0,!q)\n1. end\n")  # q never becomes true
@@ -300,9 +299,9 @@ class TestSynthesisPN:
 
     def test_trivial_positive_plus_negative_solvable(self):
         frame = tiny_frame()
-        pos = ClassicalInstance(frame, "pos", frame.state([]), frame.literal_set("!p"))
+        pos = ClassicalInstance(frame, "pos", frame.state([]), frame.masks("!p"))
         neg = ClassicalInstance(
-            frame, "neg", frame.state([]), frame.literal_set("p"), Label.NEGATIVE
+            frame, "neg", frame.state([]), frame.masks("p"), Label.NEGATIVE
         )
         problem = GeneralizedProblem(frame, (pos, neg))
         compiled = compile_synthesis_pn(problem, 1)
@@ -317,36 +316,35 @@ class TestSynthesisPN:
         compiled = compile_synthesis_pn(corridor_task, 2)
         negex = compiled.frame.fluent_id("negex")
         for idx, role in enumerate(compiled.roles):
-            act = compiled.frame.actions[idx]
+            pos, neg = compiled.frame.actions[idx].pre
             if role.kind == "exec" and isinstance(role.instruction, EndInstruction):
-                assert act.pre.neg >> negex & 1
+                assert neg >> negex & 1
             if role.kind == "skip":
-                assert act.pre.pos >> negex & 1
+                assert pos >> negex & 1
 
     def test_negex_gates_loop_gadget(self, corridor_task):
         compiled = compile_synthesis_pn(corridor_task, 2)
         negex = compiled.frame.fluent_id("negex")
         for name in ("store", "compare", "process"):
-            act = compiled.frame.action(name)
-            assert act.pre.pos >> negex & 1
+            pos, _ = compiled.frame.action(name).pre
+            assert pos >> negex & 1
 
     def test_validation_variant_leaves_gadget_unguarded(
         self, corridor_task, loop_after_body_program
     ):
         compiled = compile_validation(corridor_task, loop_after_body_program)
         for name in ("store", "compare", "process"):
-            act = compiled.frame.action(name)
+            pos, neg = compiled.frame.action(name).pre
             assert not compiled.frame.has_fluent("negex")
             assert "test" not in {
-                compiled.frame.fluents[f].split("_")[0]
-                for f in bit_ids(act.pre.pos | act.pre.neg)
+                compiled.frame.fluents[f].split("_")[0] for f in bit_ids(pos | neg)
             }
 
     def test_negex_initial_value_tracks_first_label(self):
         frame = tiny_frame()
-        pos = ClassicalInstance(frame, "pos", frame.state([]), frame.literal_set("!p"))
+        pos = ClassicalInstance(frame, "pos", frame.state([]), frame.masks("!p"))
         neg = ClassicalInstance(
-            frame, "neg", frame.state([]), frame.literal_set("q"), Label.NEGATIVE
+            frame, "neg", frame.state([]), frame.masks("q"), Label.NEGATIVE
         )
         negative_first = GeneralizedProblem(frame, (neg, pos))
         compiled = compile_synthesis_pn(negative_first, 1)
@@ -408,7 +406,7 @@ class TestDecodeTrace:
         b.action("pick", pre=["free"], cond=[([], ["have", "!free"])])
         frame = b.build()
         inst = ClassicalInstance(
-            frame, "n", frame.state(["free"]), frame.literal_set("free"), Label.NEGATIVE
+            frame, "n", frame.state(["free"]), frame.masks("free"), Label.NEGATIVE
         )
         problem = GeneralizedProblem(frame, (inst,))
         program = parse_program("0. pick\n1. pick\n2. end\n")

@@ -9,7 +9,7 @@ from gpsyn.domains import (
 )
 from gpsyn.errors import ModelError
 from gpsyn.interpreter import execute
-from gpsyn.model import Label, LiteralSet
+from gpsyn.model import Label, holds
 from gpsyn.planner import BFS_CONFIG, solve
 from gpsyn.program import parse_program
 
@@ -31,19 +31,19 @@ class TestRoboPainter:
         inst = generate_instance("robopainter", InstanceSpec(2))
         frame = inst.frame
         assert inst.init >> frame.fluent_id("at_1") & 1
-        assert inst.goal == frame.literal_set("painted_1", "at_2")
+        assert inst.goal == frame.masks("painted_1", "at_2")
 
     def test_size6_goal_paints_odd_cells(self):
         inst = generate_instance("robopainter", InstanceSpec(6))
-        assert inst.goal == inst.frame.literal_set(
+        assert inst.goal == inst.frame.masks(
             "painted_1", "painted_3", "painted_5", "at_6"
         )
 
     def test_size1_negative_stays_unpainted_at_start(self):
         inst = generate_instance("robopainter", InstanceSpec(1, Label.NEGATIVE))
-        assert inst.goal == inst.frame.literal_set("at_1", "!painted_1")
+        assert inst.goal == inst.frame.masks("at_1", "!painted_1")
         # the goal holds initially, so it is trivially reachable
-        assert inst.goal.holds(inst.init)
+        assert holds(inst.init, inst.goal)
 
     def test_straight_plan_applicable_on_2x1(self):
         # inc at the boundary is a no-op, not a failure: (paint, inc, inc)
@@ -72,35 +72,35 @@ class TestGripper:
 
         inst = generate_instance("gripper", InstanceSpec(2))
         pick = inst.frame.action("pick_left")
-        assert pick.pre.holds(inst.init)
+        assert holds(inst.init, pick.pre)
         held = successor_bits(inst.init, pick)
-        assert not pick.pre.holds(held)
+        assert not holds(held, pick.pre)
 
 
 class TestNumericDomains:
     @pytest.mark.parametrize("k", [1, 2, 5, 7])
     def test_fibonacci_goal_from_brute_force(self, k):
         inst = generate_instance("fibonacci", InstanceSpec(k))
-        assert inst.goal == inst.frame.literal_set(f"val_a_{brute_fib(k)}")
+        assert inst.goal == inst.frame.masks(f"val_a_{brute_fib(k)}")
 
     def test_fibonacci_negative_goal_off_by_one(self):
         inst = generate_instance("fibonacci", InstanceSpec(5, Label.NEGATIVE))
-        assert inst.goal == inst.frame.literal_set("val_a_4")
+        assert inst.goal == inst.frame.masks("val_a_4")
 
     @pytest.mark.parametrize("n,total", [(1, 1), (4, 10), (6, 21)])
     def test_trisum_goal_is_triangular_number(self, n, total):
         inst = generate_instance("trisum", InstanceSpec(n))
-        assert inst.goal == inst.frame.literal_set(f"val_a_{total}")
+        assert inst.goal == inst.frame.masks(f"val_a_{total}")
 
     def test_trisum_negative_one_short(self):
         inst = generate_instance("trisum", InstanceSpec(4, Label.NEGATIVE))
-        assert inst.goal == inst.frame.literal_set("val_a_9")
+        assert inst.goal == inst.frame.masks("val_a_9")
 
 
 class TestList:
     def test_length1_visits_head_only(self):
         inst = generate_instance("list", InstanceSpec(1))
-        assert inst.goal == inst.frame.literal_set("visited_1")
+        assert inst.goal == inst.frame.masks("visited_1")
         assert execute(reference_program("list"), inst).solved
 
     def test_length5_traversal_shape(self):
@@ -109,7 +109,7 @@ class TestList:
 
     def test_negative_interior_node_unvisited(self):
         inst = generate_instance("list", InstanceSpec(4, Label.NEGATIVE))
-        assert inst.goal == inst.frame.literal_set("visited_1", "!visited_2")
+        assert inst.goal == inst.frame.masks("visited_1", "!visited_2")
 
 
 class TestGreenBlock:
@@ -124,7 +124,7 @@ class TestGreenBlock:
 
     def test_negative_holds_non_green_block(self):
         inst = generate_instance("greenblock", InstanceSpec(3, Label.NEGATIVE, aux=3))
-        assert inst.goal == inst.frame.literal_set("holding_1")
+        assert inst.goal == inst.frame.masks("holding_1")
 
     def test_green_position_validated(self):
         with pytest.raises(ModelError):
@@ -170,7 +170,7 @@ class TestCrossDomainInvariants:
         inst = generate_instance(
             "robopainter", InstanceSpec(2, Label.NEGATIVE, goal_override=("painted_2",))
         )
-        assert inst.goal == inst.frame.literal_set("painted_2")
+        assert inst.goal == inst.frame.masks("painted_2")
         with pytest.raises(ModelError):
             generate_instance(
                 "robopainter", InstanceSpec(2, goal_override=("no_such_fluent",))
@@ -178,7 +178,7 @@ class TestCrossDomainInvariants:
 
     def test_empty_goal_override_is_an_empty_goal(self):
         inst = generate_instance("robopainter", InstanceSpec(2, goal_override=()))
-        assert inst.goal == LiteralSet()
+        assert inst.goal == (0, 0)
         assert execute(parse_program("0. end\n"), inst).solved
 
     def test_instance_names(self):

@@ -79,7 +79,7 @@ class TestStep:
     def test_inapplicable_action_reports_line_and_name(self, pick_frame):
         prog = parse_program("0. pick\n1. pick\n2. end\n")
         inst = ClassicalInstance(
-            pick_frame, "p", pick_frame.state(["free"]), pick_frame.literal_set("have")
+            pick_frame, "p", pick_frame.state(["free"]), pick_frame.masks("have")
         )
         first = reference_step(prog, pick_frame, ProgramState(inst.init, 0))
         assert reference_step(prog, pick_frame, first) == (1, "pick")
@@ -103,7 +103,7 @@ class TestExecute:
     def test_inapplicable_outcome(self, pick_frame):
         prog = parse_program("0. pick\n1. pick\n2. end\n")
         inst = ClassicalInstance(
-            pick_frame, "p", pick_frame.state(["free"]), pick_frame.literal_set("have")
+            pick_frame, "p", pick_frame.state(["free"]), pick_frame.masks("have")
         )
         out = execute(prog, inst)
         assert out.failure is FailureKind.INAPPLICABLE
@@ -115,7 +115,7 @@ class TestExecute:
         b.action("noop", cond=[(["f"], ["f"])])
         frame = b.build()
         prog = parse_program("0. goto(0,!f)\n1. end\n")
-        inst = ClassicalInstance(frame, "i", frame.state([]), frame.literal_set("f"))
+        inst = ClassicalInstance(frame, "i", frame.state([]), frame.masks("f"))
         out = execute(prog, inst)
         assert out.failure is FailureKind.INFINITE_LOOP
         assert out.repeat_state == ProgramState(inst.init, 0)
@@ -149,7 +149,7 @@ class TestExecute:
             frame = random_frame(rng, rng.randint(2, 5), rng.randint(1, 3))
             prog = random_program(rng, frame, rng.randint(1, 4))
             inst = ClassicalInstance(
-                frame, "r", random_state(rng, frame), frame.literal_set(frame.fluents[0])
+                frame, "r", random_state(rng, frame), frame.masks(frame.fluents[0])
             )
             out = execute(prog, inst)  # must return, never hang
             assert out.solved or out.failure is not None
@@ -181,7 +181,7 @@ class TestExecute:
             )
             inst = ClassicalInstance(
                 frame, "r", random_state(rng, frame),
-                frame.literal_set(frame.fluents[0]),
+                frame.masks(frame.fluents[0]),
             )
             out = execute(prog, inst)
             plan = [frame.action(n) for n in names]

@@ -11,8 +11,8 @@ from gpsyn.model import (
     FrameBuilder,
     GeneralizedProblem,
     Label,
-    LiteralSet,
     bit_ids,
+    holds,
     successor_bits,
     triggered_masks,
     validate_sequential_plan,
@@ -27,10 +27,27 @@ def rp6():
     return robopainter_frame(6)
 
 
-class TestLiteralSet:
-    def test_rejects_conflicting_polarities(self):
+class TestMaskPairs:
+    def test_action_rejects_clashing_precondition(self):
+        with pytest.raises(ConflictError, match=r"fluents \[0\]"):
+            Action("a", (0b01, 0b01), ())
+        b = FrameBuilder()
+        b.fluent("x"), b.fluent("y")
         with pytest.raises(ConflictError):
-            LiteralSet(pos=0b01, neg=0b01)
+            b.action("a", pre=["y", "!y"], cond=[([], ["x"])])
+
+    def test_instance_rejects_clashing_goal(self):
+        frame = Frame(("x", "y"), ())
+        with pytest.raises(ConflictError, match=r"goal .* fluents \[1\]"):
+            ClassicalInstance(frame, "bad", 0, frame.masks("y", "!y"))
+
+    def test_masks_inverts_texts(self):
+        rng = random.Random(3)
+        for _ in range(50):
+            frame = random_frame(rng, rng.randint(1, 8), rng.randint(1, 3))
+            pos = random_state(rng, frame)
+            neg = random_state(rng, frame) & ~pos
+            assert frame.masks(*frame.texts(pos, neg)) == (pos, neg)
 
 
 class TestApplicability:
@@ -40,14 +57,14 @@ class TestApplicability:
         b.action("inc", pre=["at_0"], cond=[([], ["!at_0"])])
         frame = b.build()
         pre = frame.action("inc").pre
-        assert pre.holds(frame.state(["at_0"]))
-        assert not pre.holds(frame.state([]))
+        assert holds(frame.state(["at_0"]), pre)
+        assert not holds(frame.state([]), pre)
 
     def test_empty_precondition_always_applicable(self, rp6):
         paint = rp6.action("paint")
         rng = random.Random(0)
         for _ in range(20):
-            assert paint.pre.holds(random_state(rng, rp6))
+            assert holds(random_state(rng, rp6), paint.pre)
 
 
 class TestTriggeredEffects:
@@ -56,8 +73,7 @@ class TestTriggeredEffects:
         b.fluent("painted_0")
         b.action("paint", cond=[([], ["painted_0"])])
         frame = b.build()
-        eff = LiteralSet(*triggered_masks(frame.state([]), frame.action("paint")))
-        assert eff == frame.literal_set("painted_0")
+        assert triggered_masks(frame.state([]), frame.action("paint")) == frame.masks("painted_0")
 
     def test_only_matching_condition_fires(self):
         b = FrameBuilder()
@@ -65,8 +81,8 @@ class TestTriggeredEffects:
         b.fluent("painted_0"), b.fluent("painted_1")
         b.action("paint", cond=[(["at_0"], ["painted_0"]), (["at_1"], ["painted_1"])])
         frame = b.build()
-        eff = LiteralSet(*triggered_masks(frame.state(["at_0"]), frame.action("paint")))
-        assert eff == frame.literal_set("painted_0")
+        eff = triggered_masks(frame.state(["at_0"]), frame.action("paint"))
+        assert eff == frame.masks("painted_0")
 
     def test_conflicting_triggered_effects_raise(self):
         b = FrameBuilder()
@@ -76,8 +92,7 @@ class TestTriggeredEffects:
         with pytest.raises(ConflictError):
             triggered_masks(frame.state(["a"]), frame.action("bad"))
         # consistent when only one branch fires
-        eff = LiteralSet(*triggered_masks(frame.state([]), frame.action("bad")))
-        assert eff == frame.literal_set("!b")
+        assert triggered_masks(frame.state([]), frame.action("bad")) == frame.masks("!b")
 
     def test_compiled_compare_sets_correct_flag(self, corridor_task, loop_after_body_program):
         # One compare step traced by hand: a fluent true in both the current
@@ -142,7 +157,7 @@ class TestTriggeredEffects:
                     (lambda f: rng.random() < 0.5) if may_clash else fixed.__getitem__,
                 )
                 cond.append((cpos, cneg, epos, eneg))
-            action = Action(f"wide_{a}", LiteralSet(), tuple(cond))
+            action = Action(f"wide_{a}", (0, 0), tuple(cond))
             lows = [c[0] & -c[0] for c in cond if c[0]]
             shared += len(lows) - len(set(lows))
             always += len(cond) - len(lows)
@@ -184,7 +199,7 @@ class TestSuccessor:
     def test_robopainter_inc_moves_right(self, rp6):
         s = rp6.state(["at_1", "last_6"])
         inc = rp6.action("inc")
-        assert inc.pre.holds(s)
+        assert holds(s, inc.pre)
         s2 = successor_bits(s, inc)
         assert s2 >> rp6.fluent_id("at_2") & 1
         assert not s2 >> rp6.fluent_id("at_1") & 1
@@ -192,7 +207,7 @@ class TestSuccessor:
     def test_paint_idempotent(self, rp6):
         s = rp6.state(["at_1", "last_2"])
         paint = rp6.action("paint")
-        assert paint.pre.holds(s)
+        assert holds(s, paint.pre)
         once = successor_bits(s, paint)
         assert successor_bits(once, paint) == once
 
@@ -202,7 +217,7 @@ class TestSuccessor:
             frame = random_frame(rng, rng.randint(2, 6), rng.randint(1, 3))
             s = random_state(rng, frame)
             for action in frame.actions:
-                if not action.pre.holds(s):
+                if not holds(s, action.pre):
                     continue
                 pos, neg = triggered_masks(s, action)
                 s2 = successor_bits(s, action)
@@ -237,7 +252,7 @@ class TestValidateSequentialPlan:
                 return all(state[t.lstrip("!")] == (t[0] != "!") for t in texts)
 
             for action in plan:
-                if not all_hold(frame.texts(action.pre.pos, action.pre.neg)):
+                if not all_hold(frame.texts(*action.pre)):
                     return False
                 new = dict(state)
                 for cpos, cneg, epos, eneg in action.cond:
@@ -245,14 +260,14 @@ class TestValidateSequentialPlan:
                         for t in frame.texts(epos, eneg):
                             new[t.lstrip("!")] = t[0] != "!"
                 state = new
-            return all_hold(frame.texts(inst.goal.pos, inst.goal.neg))
+            return all_hold(frame.texts(*inst.goal))
 
         rng = random.Random(11)
         for _ in range(100):
             frame = random_frame(rng, rng.randint(2, 5), rng.randint(1, 3))
             init = random_state(rng, frame)
             bit, positive = 1 << rng.randrange(frame.width), rng.random() < 0.5
-            goal = LiteralSet(pos=bit) if positive else LiteralSet(neg=bit)
+            goal = (bit, 0) if positive else (0, bit)
             inst = ClassicalInstance(frame, "t", init, goal)
             plan = [rng.choice(frame.actions) for _ in range(rng.randint(0, 6))]
             try:
@@ -265,9 +280,9 @@ class TestValidateSequentialPlan:
 class TestContainers:
     def test_frame_rejects_duplicate_fluents(self):
         b = FrameBuilder()
-        b.fluent("x")
-        with pytest.raises(ModelError):
-            b.fluent("x")
+        b.fluent("x"), b.fluent("x")
+        with pytest.raises(ModelError, match="duplicate fluent name 'x'"):
+            b.build()
 
     def test_unknown_fluent_text_is_model_error(self):
         b = FrameBuilder()
@@ -276,7 +291,7 @@ class TestContainers:
             b.action("a", pre=["x"], cond=[(["!y"], ["x"])])
         b.action("a", cond=[([], ["!x"])])
         with pytest.raises(ModelError, match="unknown fluent 'y'"):
-            b.build().literal_set("x", "y")
+            b.build().masks("x", "y")
 
     def test_frame_rejects_repeated_fluent_names(self):
         frame = build_task("trisum", [InstanceSpec(1)]).frame
@@ -299,11 +314,11 @@ class TestContainers:
 
     def test_action_checks_its_effect_masks(self):
         with pytest.raises(ModelError, match="empty effect set"):
-            Action("a", LiteralSet(), ((0b1, 0, 0, 0),))
+            Action("a", (0, 0), ((0b1, 0, 0, 0),))
         with pytest.raises(ConflictError):
-            Action("a", LiteralSet(), ((0b1, 0b1, 0b10, 0),))
+            Action("a", (0, 0), ((0b1, 0b1, 0b10, 0),))
         with pytest.raises(ConflictError):
-            Action("a", LiteralSet(), ((0, 0, 0b1, 0b1),))
+            Action("a", (0, 0), ((0, 0, 0b1, 0b1),))
 
     def test_fluent_name_may_not_start_with_negation_mark(self):
         with pytest.raises(ModelError, match="negation mark"):
@@ -311,9 +326,9 @@ class TestContainers:
 
     def test_frame_rejects_out_of_range_references(self):
         with pytest.raises(ModelError):
-            Frame(("x",), (Action("a", LiteralSet(pos=0b10), ()),))
+            Frame(("x",), (Action("a", (0b10, 0), ()),))
         with pytest.raises(ModelError):
-            Frame(("x",), (Action("a", LiteralSet(), ((0, 0, 0b10, 0),)),))
+            Frame(("x",), (Action("a", (0, 0), ((0, 0, 0b10, 0),)),))
 
     def test_generalized_problem_requires_shared_frame(self):
         a = build_task("trisum", [InstanceSpec(1)])
@@ -330,11 +345,11 @@ class TestContainers:
     def test_instance_init_must_be_total_width(self):
         frame = build_task("trisum", [InstanceSpec(1)]).frame
         with pytest.raises(ModelError):
-            ClassicalInstance(frame, "bad", 1 << frame.width, LiteralSet())
+            ClassicalInstance(frame, "bad", 1 << frame.width, (0, 0))
 
     def test_fluent_id_out_of_range_is_model_error(self):
         frame = Frame(("x",), ())
         with pytest.raises(ModelError):
-            ClassicalInstance(frame, "bad", 0b10, LiteralSet())
+            ClassicalInstance(frame, "bad", 0b10, (0, 0))
         with pytest.raises(ModelError):
-            ClassicalInstance(frame, "bad", 0, LiteralSet(neg=0b10))
+            ClassicalInstance(frame, "bad", 0, (0, 0b10))

@@ -9,6 +9,7 @@ from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     Label,
+    holds,
     successor_bits,
     validate_sequential_plan,
 )
@@ -46,7 +47,7 @@ def chain_frame(length: int):
 
 def test_goal_in_init_returns_empty_plan():
     frame = chain_frame(2)
-    inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f0"))
+    inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f0"))
     for cfg in (BFS_CONFIG, SearchConfig()):
         result = solve(inst, cfg)
         assert result.solved and result.plan.actions == ()
@@ -55,7 +56,7 @@ def test_goal_in_init_returns_empty_plan():
 @pytest.mark.parametrize("strategy", [Strategy.BFS, Strategy.GBFS])
 def test_chain_solved_and_plan_validates(strategy):
     frame = chain_frame(5)
-    inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f5"))
+    inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f5"))
     result = solve(inst, SearchConfig(strategy=strategy))
     assert result.solved
     assert validate_sequential_plan(inst, result.plan.actions)
@@ -66,12 +67,12 @@ def shortest_distance(inst):
     """Plan length to the goal by level-by-level expansion, or None."""
     level, seen, depth = {inst.init}, {inst.init}, 0
     while level:
-        if any(inst.goal.holds(state) for state in level):
+        if any(holds(state, inst.goal) for state in level):
             return depth
         following = set()
         for state in level:
             for action in inst.frame.actions:
-                if action.pre.holds(state):
+                if holds(state, action.pre):
                     child = successor_bits(state, action)
                     if child not in seen:
                         seen.add(child)
@@ -134,7 +135,7 @@ def test_bfs_proves_unsolvable():
     b.fluent("a"), b.fluent("goal")
     b.action("toggle", cond=[(["a"], ["!a"]), (["!a"], ["a"])])
     frame = b.build()
-    inst = ClassicalInstance(frame, "t", frame.state([]), frame.literal_set("goal"))
+    inst = ClassicalInstance(frame, "t", frame.state([]), frame.masks("goal"))
     result = solve(inst, BFS_CONFIG)
     assert result.status is SolveStatus.PROVED_UNSOLVABLE
 
@@ -144,7 +145,7 @@ def test_conflicting_effects_raise_conflict_error_naming_action():
     b.fluent("b")
     b.action("clash", cond=[([], ["b"]), ([], ["!b"])])
     frame = b.build()
-    inst = ClassicalInstance(frame, "t", frame.state([]), frame.literal_set("b"))
+    inst = ClassicalInstance(frame, "t", frame.state([]), frame.masks("b"))
     for cfg in (BFS_CONFIG, SearchConfig()):
         with pytest.raises(ConflictError, match="'clash'"):
             solve(inst, cfg)
@@ -152,7 +153,7 @@ def test_conflicting_effects_raise_conflict_error_naming_action():
 
 def test_expansion_budget_exhausts():
     frame = chain_frame(30)
-    inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f30"))
+    inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f30"))
     result = solve(inst, SearchConfig(strategy=Strategy.BFS, max_expansions=3))
     assert result.status is SolveStatus.RESOURCE_EXHAUSTED
 
@@ -198,7 +199,7 @@ def reference_h_add(frame, goal, bits):
     Σ cost[pre])`` is repeated over all of them until no cost changes."""
     ops = [
         (
-            set(frame.texts(act.pre.pos, act.pre.neg)) | set(frame.texts(cpos, cneg)),
+            set(frame.texts(*act.pre)) | set(frame.texts(cpos, cneg)),
             frame.texts(epos, eneg),
         )
         for act in frame.actions
@@ -215,7 +216,7 @@ def reference_h_add(frame, goal, bits):
                     if c < cost.get(q, INF):
                         cost[q] = c
                         changed = True
-    return sum(cost.get(g, INF) for g in frame.texts(goal.pos, goal.neg))
+    return sum(cost.get(g, INF) for g in frame.texts(*goal))
 
 
 def bfs_states(inst, limit):
@@ -225,7 +226,7 @@ def bfs_states(inst, limit):
     while queue and len(order) < limit:
         state = queue.popleft()
         for action in inst.frame.actions:
-            if action.pre.holds(state):
+            if holds(state, action.pre):
                 child = successor_bits(state, action)
                 if child not in seen:
                     seen.add(child)
@@ -270,22 +271,22 @@ class TestHAdd:
 
     def test_zero_iff_goal_holds(self):
         frame = chain_frame(3)
-        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f0"))
+        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f0"))
         assert h_add(inst.init, inst) == 0
 
     def test_single_action_costs_one(self):
         frame = chain_frame(1)
-        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f1"))
+        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f1"))
         assert h_add(inst.init, inst) == 1
 
     def test_additive_over_chain(self):
         frame = chain_frame(4)
-        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f4"))
+        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f4"))
         assert h_add(inst.init, inst) == 4
 
     def test_zero_width_frame(self):
         frame = FrameBuilder().build()
-        inst = ClassicalInstance(frame, "t", frame.state([]), frame.literal_set())
+        inst = ClassicalInstance(frame, "t", frame.state([]), frame.masks())
         assert h_add(inst.init, inst) == 0
 
     def test_literal_reached_twice_at_cost_one_counts_once(self):
@@ -299,7 +300,7 @@ class TestHAdd:
         b.action("r2", pre=["r1"], cond=[([], ["r2"])])
         b.action("g", pre=["q", "r2"], cond=[([], ["g"])])
         frame = b.build()
-        inst = ClassicalInstance(frame, "t", frame.state(["a"]), frame.literal_set("g"))
+        inst = ClassicalInstance(frame, "t", frame.state(["a"]), frame.masks("g"))
         assert h_add(inst.init, inst) == 1 + 1 + 2
 
     def test_infinite_iff_bfs_unsolvable_on_random_instances(self):
@@ -320,12 +321,10 @@ class TestHAdd:
                 checked_fin += 1
         assert checked_inf > 0 and checked_fin > 0
 
-    def test_goalcount_and_blind_strategies_still_solve(self):
+    def test_blind_strategy_still_solves(self):
         frame = chain_frame(3)
-        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.literal_set("f3"))
-        for heuristic in (Heuristic.GOAL_COUNT, Heuristic.BLIND):
-            result = solve(inst, SearchConfig(heuristic=heuristic))
-            assert result.solved
+        inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f3"))
+        assert solve(inst, SearchConfig(heuristic=Heuristic.BLIND)).solved
 
 
 def test_bfs_decides_reachability():
@@ -335,5 +334,5 @@ def test_bfs_decides_reachability():
     b.fluent("x")
     b.action("noop", cond=[(["x"], ["x"])])
     frame = b.build()
-    dead = ClassicalInstance(frame, "d", frame.state([]), frame.literal_set("x"))
+    dead = ClassicalInstance(frame, "d", frame.state([]), frame.masks("x"))
     assert solve(dead, BFS_CONFIG).status is SolveStatus.PROVED_UNSOLVABLE

@@ -11,6 +11,7 @@ from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     Label,
+    holds,
     successor_bits,
 )
 from helpers import random_frame, random_generalized_problem
@@ -56,6 +57,16 @@ class TestJson:
         with pytest.raises(ParseError):
             jsonio.problem_from_dict({"frame": {}})
 
+    def test_clashing_goal_or_precondition_raises_parse_error(self, corridor_pair):
+        doc = jsonio.problem_to_dict(corridor_pair)
+        doc["instances"][0]["goal"] = ["at_1", "!at_1"]
+        with pytest.raises(ParseError, match="goal assigns both polarities"):
+            jsonio.problem_from_dict(doc)
+        doc = jsonio.problem_to_dict(corridor_pair)
+        doc["frame"]["actions"][0]["pre"] = ["at_1", "!at_1"]
+        with pytest.raises(ParseError, match="assigns both polarities"):
+            jsonio.problem_from_dict(doc)
+
     def test_empty_effect_set_raises_parse_error(self, corridor_pair):
         doc = jsonio.problem_to_dict(corridor_pair)
         doc["frame"]["actions"][0]["effects"][0]["then"] = []
@@ -78,7 +89,7 @@ def reachable_space(problem):
     while frontier:
         bits = frontier.pop()
         for action in problem.frame.actions:
-            if not action.pre.holds(bits):
+            if not holds(bits, action.pre):
                 continue
             child = successor_bits(bits, action)
             if child not in seen:
@@ -93,7 +104,7 @@ class TestPddl:
         b.fluent("on")
         b.action("flip", cond=[(["on"], ["!on"]), (["!on"], ["on"])])
         frame = b.build()
-        inst = ClassicalInstance(frame, "tiny", frame.state(["on"]), frame.literal_set("!on"))
+        inst = ClassicalInstance(frame, "tiny", frame.state(["on"]), frame.masks("!on"))
         back = pddl.read_problem(
             pddl.write_problem(inst, "tiny"), pddl.read_domain(pddl.write_domain(frame))
         )
@@ -178,6 +189,9 @@ class TestPddl:
             "(define (domain d) (:predicates (a)) (:action x :bogus (a)))",
             "(define (domain d) (:predicates (a)) (:action x :effect (and (a)) :effect (a)))",
             "(define (domain d) (:types t))",
+            "(define (domain d) (:predicates (a)) (:predicates (b)))",
+            "(define (domain d) (:requirements :strips) (:requirements :strips))",
+            "(define (domain d) (:requirements :typing :fluents))",
             "(define (domain d) junk)",
             "(define (problem p) (:domain d) (:objects o))",
             "(define (problem p) junk)",
@@ -185,6 +199,7 @@ class TestPddl:
             "(define (problem p) (:domain d) (:init (a)) (:init) (:goal (a)))",
             "(define (problem p) (:domain d) (:domain d) (:goal (a)))",
             "(define (problem p) (:domain d) (:goal (a) (not (b))))",
+            "(define (problem p) (:domain d) (:goal (and (a) (not (a)))))",
         ],
     )
     def test_reader_rejects_truncated_forms(self, text):
