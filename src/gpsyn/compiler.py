@@ -5,17 +5,22 @@ Three variants over one builder:
 * synthesis from positive instances only: programming actions write
   instructions onto empty lines, execution actions simulate them, and a
   per-instance ``end`` chains through the instances to the ``done`` goal;
-* validation of a given program on labeled instances: no programming actions,
-  every instruction execution is preceded by a check action that records
-  whether its precondition holds, a store/compare/process gadget witnesses
-  repeated program states (infinite loops), and ``skip`` actions terminate an
-  instance on a detected failure;
-* synthesis from positive and negative instances: the validation machinery
-  plus programming actions, with a ``negex`` fluent that forces execution to
-  succeed exactly on the positives and fail exactly on the negatives.
+* synthesis from positive and negative instances (PN): the same, plus a
+  check action before every instruction execution that records whether its
+  precondition holds, a store/compare/process gadget that witnesses repeated
+  program states (infinite loops), ``skip`` actions that end an instance on
+  a detected failure, and a ``negex`` fluent, true while a negative runs;
+* validation of a given program on labeled instances: the PN compilation
+  with the program written into the initial state and no programming
+  actions.
 
-The variants differ only in which actions each line gets, so one
-instruction-action loop builds all three. Every action carries a :class:`Role`
+``negex`` is the one guard that makes execution succeed exactly on the
+positives and fail exactly on the negatives: ``exec`` of ``end`` needs
+``¬negex``, and ``skip`` and the gadget need ``negex``.
+
+The variants differ only in which actions exist: programming actions when
+synthesizing, and the checks, gadget, skips and ``negex`` when not
+positive-only. So one instruction-action loop builds all three. Every action carries a :class:`Role`
 whose ``kind`` is the action-name prefix (``prog``, ``exec``, ``check``,
 ``store``, ``compare``, ``process``, ``skip``); the action name is formatted
 from the role alone.
@@ -159,7 +164,6 @@ class _Builder:
         if self.T == 0:
             raise ModelError("cannot compile an empty generalized problem")
         self.with_gadget = variant is not Variant.SYNTH_POSITIVE
-        self.with_negex = variant is Variant.SYNTH_PN
 
         self.fluents = list(self.base.fluents)
         self.actions: list[Action] = []
@@ -211,7 +215,6 @@ class _Builder:
             self.corrects = sum(corrects)
             # every flag, copy and correct fluent; a reset clears them all
             self.gadget = (1 << len(self.fluents)) - (1 << first)
-        if self.with_negex:
             self.negex = self._add_fluent("negex")
 
     # -- masks --------------------------------------------------------------
@@ -355,11 +358,7 @@ class _Builder:
                         self._prog_action(ins, i, t)
                     if self.with_gadget:
                         self._check_action(ins, i, t)
-                    # In validation, ending an instance positively is only
-                    # legal on positives; negatives must leave via skip. This
-                    # is what makes solvability coincide with validation.
-                    if programming or t is None or self.gp.instances[t - 1].is_positive:
-                        self._exec_action(ins, i, t)
+                    self._exec_action(ins, i, t)
 
     def _init_state(self) -> int:
         first = self.gp.instances[0]
@@ -377,8 +376,7 @@ class _Builder:
         if self.with_gadget:
             self._gadget_actions()
             for t in range(1, self.T + 1):
-                if self.with_negex or not self.gp.instances[t - 1].is_positive:
-                    self._skip_action(t)
+                self._skip_action(t)
         frame = Frame(tuple(self.fluents), tuple(self.actions))
         return CompiledInstance(
             frame=frame,

@@ -12,13 +12,12 @@ from gpsyn.compiler import (
     decode_trace,
 )
 from gpsyn.errors import MalformedPlanError, ModelError, VariantMismatchError
-from gpsyn.interpreter import FailureKind, validate_program
+from gpsyn.interpreter import FailureKind, execute, validate_program
 from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
     GeneralizedProblem,
     Label,
-    bit_ids,
 )
 from gpsyn.planner import BFS_CONFIG, SolveStatus, solve
 from gpsyn.program import (
@@ -28,9 +27,14 @@ from gpsyn.program import (
     Program,
     parse_program,
 )
-from helpers import random_validation_case
+from helpers import (
+    random_frame,
+    random_generalized_problem,
+    random_program,
+    random_validation_case,
+)
 
-from gpsyn.domains import InstanceSpec, build_task
+from gpsyn.domains import InstanceSpec, build_task, reference_program
 
 
 def tiny_frame():
@@ -46,6 +50,14 @@ def tiny_problem(goal_texts=("p",), label=Label.POSITIVE, init=()):
         frame, "tiny", frame.state(init), frame.masks(*goal_texts), label
     )
     return GeneralizedProblem(frame, (inst,))
+
+
+def gadget_variant(variant, problem, program):
+    """The validation or PN compilation of ``problem``, the two variants
+    with the loop gadget."""
+    if variant == "validation":
+        return compile_validation(problem, program)
+    return compile_synthesis_pn(problem, program.n)
 
 
 class TestStructure:
@@ -139,26 +151,28 @@ class TestStructure:
             "prog__end__l1__t2", "check__end__l1__t2", "exec__end__l1__t2",
             "store", "compare", "process", "skip__t1", "skip__t2",
         ]
+        # Validation is PN without programming actions: every instance gets
+        # its end execution and its skip, and negex decides which is legal.
         validation = compile_validation(problem, program)
         assert names(validation) == [
             "check__set_p__l0", "exec__set_p__l0",
             "check__end__l1__t1", "exec__end__l1__t1",
-            "store", "compare", "process",
+            "store", "compare", "process", "skip__t1",
         ]
-        # A negative gets an end check but no end execution, and a skip.
         validation_neg = compile_validation(with_neg, program)
         assert names(validation_neg) == [
             "check__set_p__l0", "exec__set_p__l0",
-            "check__end__l1__t1", "exec__end__l1__t1", "check__end__l1__t2",
-            "store", "compare", "process", "skip__t2",
+            "check__end__l1__t1", "exec__end__l1__t1",
+            "check__end__l1__t2", "exec__end__l1__t2",
+            "store", "compare", "process", "skip__t1", "skip__t2",
         ]
         # sha256 over the fluents, init, goal and every action's name,
         # precondition masks and effect tuples
         assert [digest(c) for c in (positive, pn, validation, validation_neg)] == [
             "7876c879baced7e3589ac9bae4d6b2bfa1df9e8912845161f53228fa4a7550e0",
             "f2f08c4e4c53c63cc5f43d5872e7aa2d9954f36cf33d14cfc1b74c08c45bee63",
-            "74e3096bea07bb0bf3d7ad6e889246e6455206d637b9708ced835abd4c0c98cd",
-            "9185bb59194c5ad1d41076a0908ab9421cdf5827b4487f83dd8a3229d301e99f",
+            "1a1b58def24697d13ed563ed40b399d6fdc9759273c2124877527734fcb7ae23",
+            "4700ce1f37d05151094c1e16a2c48f99d382f7b1944566fedc928258cf57351b",
         ]
 
     @pytest.mark.parametrize(
@@ -169,7 +183,7 @@ class TestStructure:
             ("test_1", {"positive", "validation", "pn"}),
             ("ins_0_nil", {"positive", "validation", "pn"}),
             ("checked", {"validation", "pn"}),
-            ("negex", {"pn"}),
+            ("negex", {"validation", "pn"}),
         ],
     )
     def test_base_fluent_with_a_compiled_name_is_rejected(self, name, clashing):
@@ -207,10 +221,10 @@ class TestStructure:
         prog_roles = [r for r in compiled.roles if r.kind == "prog"]
         assert {r.instruction for r in prog_roles} <= set(alphabet)
 
-    def test_negex_only_in_pn_variant(self, corridor_task, loop_after_body_program):
+    def test_negex_in_both_gadget_variants(self, corridor_task, loop_after_body_program):
         assert compile_synthesis_pn(corridor_task, 2).frame.has_fluent("negex")
         validation = compile_validation(corridor_task, loop_after_body_program)
-        assert not validation.frame.has_fluent("negex")
+        assert validation.frame.has_fluent("negex")
         assert not compile_synthesis_positive(tiny_problem(), 1).frame.has_fluent("negex")
 
     def test_line_n_only_programs_end(self):
@@ -291,6 +305,44 @@ class TestValidation:
             assert trace[0].failure is FailureKind.INFINITE_LOOP
 
 
+    def test_validation_is_pn_without_programming_actions(self):
+        # Same fluents; the actions are PN's non-programming actions on the
+        # program's (line, instruction) pairs plus the gadget and every skip,
+        # with the same masks and in PN's order.
+        rng = random.Random(1100)
+        for _ in range(300):
+            frame = random_frame(rng, rng.randint(2, 4), rng.randint(1, 3))
+            program = random_program(rng, frame, rng.randint(1, 3))
+            t = rng.randint(1, 3)
+            labels = [rng.choice(list(Label)) for _ in range(t)]
+            labels[rng.randrange(t)] = Label.POSITIVE  # PN needs a positive
+            problem = random_generalized_problem(rng, frame, t, labels)
+            validation = compile_validation(problem, program)
+            pn = compile_synthesis_pn(problem, program.n)
+            assert validation.frame.fluents == pn.frame.fluents
+            written = set(enumerate(program.lines))
+            kept = [
+                act
+                for act, role in zip(pn.frame.actions, pn.roles)
+                if role.line is None
+                or role.kind != "prog" and (role.line, role.instruction) in written
+            ]
+            assert [(a.name, a.pre, a.cond) for a in validation.frame.actions] == [
+                (a.name, a.pre, a.cond) for a in kept
+            ]
+
+    @pytest.mark.parametrize("size", [16, 31, 62])
+    def test_store_is_unreachable_on_positives(self, size):
+        # A positive never stores a copy, so BFS walks the run about once
+        # instead of once per possible store point.
+        task = build_task("robopainter", [InstanceSpec(size)])
+        program = reference_program("robopainter")
+        steps = execute(program, task.instances[0]).steps
+        result = solve(compile_validation(task, program), BFS_CONFIG)
+        assert result.solved
+        assert result.stats.expansions <= 3 * steps
+
+
 class TestSynthesisPN:
     def test_zero_positives_rejected(self):
         problem = tiny_problem(label=Label.NEGATIVE)
@@ -312,8 +364,9 @@ class TestSynthesisPN:
         decoded = decode_program(result.plan.actions, compiled)
         assert validate_program(decoded.program, problem).passed
 
-    def test_negex_gates_end_and_skip(self, corridor_task):
-        compiled = compile_synthesis_pn(corridor_task, 2)
+    @pytest.mark.parametrize("variant", ["validation", "pn"])
+    def test_negex_gates_end_and_skip(self, variant, corridor_task, loop_after_body_program):
+        compiled = gadget_variant(variant, corridor_task, loop_after_body_program)
         negex = compiled.frame.fluent_id("negex")
         for idx, role in enumerate(compiled.roles):
             pos, neg = compiled.frame.actions[idx].pre
@@ -322,23 +375,13 @@ class TestSynthesisPN:
             if role.kind == "skip":
                 assert pos >> negex & 1
 
-    def test_negex_gates_loop_gadget(self, corridor_task):
-        compiled = compile_synthesis_pn(corridor_task, 2)
+    @pytest.mark.parametrize("variant", ["validation", "pn"])
+    def test_negex_gates_loop_gadget(self, variant, corridor_task, loop_after_body_program):
+        compiled = gadget_variant(variant, corridor_task, loop_after_body_program)
         negex = compiled.frame.fluent_id("negex")
         for name in ("store", "compare", "process"):
             pos, _ = compiled.frame.action(name).pre
             assert pos >> negex & 1
-
-    def test_validation_variant_leaves_gadget_unguarded(
-        self, corridor_task, loop_after_body_program
-    ):
-        compiled = compile_validation(corridor_task, loop_after_body_program)
-        for name in ("store", "compare", "process"):
-            pos, neg = compiled.frame.action(name).pre
-            assert not compiled.frame.has_fluent("negex")
-            assert "test" not in {
-                compiled.frame.fluents[f].split("_")[0] for f in bit_ids(pos | neg)
-            }
 
     def test_negex_initial_value_tracks_first_label(self):
         frame = tiny_frame()
