@@ -16,7 +16,11 @@ Three variants over one builder:
 
 ``negex`` is the one guard that makes execution succeed exactly on the
 positives and fail exactly on the negatives: ``exec`` of ``end`` needs
-``¬negex``, and ``skip`` and the gadget need ``negex``.
+``¬negex``, and ``skip`` and the gadget need ``negex``. In the positive-only
+compilation a programming action requires its instruction's precondition
+(the action's, or the instance goal for ``end``), since every run must
+succeed; in PN it requires nothing of the instance, so a line first reached
+on a negative may be written to fail there.
 
 The variants differ only in which actions exist: programming actions when
 synthesizing, and the checks, gadget, skips and ``negex`` when not
@@ -254,7 +258,7 @@ class _Builder:
         self.roles.append(role)
 
     def _prog_action(self, ins: Instruction, i: int, t: int | None) -> None:
-        pos, neg = self._pre_of(ins, t)
+        pos, neg = (0, 0) if self.with_gadget else self._pre_of(ins, t)
         eff = (0, 0, self.ins[i][ins], self.nil[i])
         self._add_action(Role("prog", i, ins, t), pos | self.pc[i] | self.nil[i], neg, [eff])
 

@@ -127,6 +127,27 @@ def random_validation_case(
             return program, problem, outcomes
 
 
+def pn_counterexample() -> tuple[GeneralizedProblem, Program]:
+    """Two fluents, two actions, two positives and a negative that only the
+    program ``0. goto(2,!f0) / 1. a1 / 2. end`` (or a longer equivalent)
+    discriminates: its run on the negative first reaches line 1, where
+    ``a1`` is inapplicable."""
+    b = FrameBuilder()
+    b.fluent("f0"), b.fluent("f1")
+    b.action("a0", pre=["f1"], cond=[(["f0", "f1"], ["f0", "f1"]), (["f0", "!f1"], ["f0"])])
+    b.action("a1", pre=["!f0"], cond=[(["f0", "!f1"], ["f0"]), (["!f0"], ["f0", "f1"])])
+    frame = b.build()
+    instances = (
+        ClassicalInstance(frame, "pos-1", frame.state([]), frame.masks("!f1")),
+        ClassicalInstance(frame, "pos-2", frame.state(["f1"]), frame.masks("!f0")),
+        ClassicalInstance(
+            frame, "neg-1", frame.state(["f0", "f1"]), frame.masks("f1"), Label.NEGATIVE
+        ),
+    )
+    program = Program((GotoInstruction(2, "f0"), ActInstruction("a1"), EndInstruction()))
+    return GeneralizedProblem(frame, instances), program
+
+
 # -- reference stepper --------------------------------------------------------
 
 END = "end"

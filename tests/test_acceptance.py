@@ -192,6 +192,11 @@ def test_criterion_3_soundness_of_pn_synthesis():
         problem, n = _random_synthesis_case(rng)
         compiled = compile_synthesis_pn(problem, n)
         result = solve(compiled, SearchConfig(max_expansions=30000))
+        # every case has a hidden witness program, so no search may prove
+        # the compiled task unsolvable
+        assert result.status is not SolveStatus.PROVED_UNSOLVABLE, (
+            f"witnessed case proved unsolvable on attempt {attempts}"
+        )
         if not result.solved:
             continue
         found += 1

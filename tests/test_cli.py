@@ -21,6 +21,7 @@ from gpsyn.domains import InstanceSpec, build_task
 from gpsyn.interpreter import validate_program
 from gpsyn.model import Label
 from gpsyn.program import parse_program
+from helpers import pn_counterexample
 
 
 def write_problem(tmp_path, name, domain, specs):
@@ -136,6 +137,17 @@ class TestSynth:
         code = main(["synth", "--problem", str(path), "--lines", "2",
                      "--out", str(tmp_path / "p.txt")])
         assert code == EXIT_PARSE
+
+    def test_negative_failing_on_its_own_line_is_synthesized(self, tmp_path):
+        # The negative's run fails on a line no positive reaches, so the
+        # programming action there must not require the line to succeed.
+        problem, _ = pn_counterexample()
+        path = tmp_path / "pn.json"
+        jsonio.dump_problem(problem, path)
+        out = tmp_path / "p.txt"
+        code = main(["synth", "--problem", str(path), "--lines", "2", "--out", str(out)])
+        assert code == EXIT_OK
+        assert validate_program(parse_program(out.read_text()), problem).passed
 
     def test_unsolvable_exit_code(self, tmp_path):
         # A positive whose goal is unreachable: no program can solve it.

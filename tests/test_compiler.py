@@ -28,6 +28,7 @@ from gpsyn.program import (
     parse_program,
 )
 from helpers import (
+    pn_counterexample,
     random_frame,
     random_generalized_problem,
     random_program,
@@ -170,7 +171,7 @@ class TestStructure:
         # precondition masks and effect tuples
         assert [digest(c) for c in (positive, pn, validation, validation_neg)] == [
             "7876c879baced7e3589ac9bae4d6b2bfa1df9e8912845161f53228fa4a7550e0",
-            "f2f08c4e4c53c63cc5f43d5872e7aa2d9954f36cf33d14cfc1b74c08c45bee63",
+            "91c21e5793985d9291b338d2cf03a26a3d59cf4b9671ae6031a99a869704b797",
             "1a1b58def24697d13ed563ed40b399d6fdc9759273c2124877527734fcb7ae23",
             "4700ce1f37d05151094c1e16a2c48f99d382f7b1944566fedc928258cf57351b",
         ]
@@ -382,6 +383,19 @@ class TestSynthesisPN:
         for name in ("store", "compare", "process"):
             pos, _ = compiled.frame.action(name).pre
             assert pos >> negex & 1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_negative_may_fail_on_a_line_it_reaches_first(self, n):
+        # The negative fails on line 1, which no positive reaches: a
+        # programming action that required a1's precondition there made
+        # the compiled task unsolvable although the program validates.
+        problem, program = pn_counterexample()
+        assert validate_program(program, problem).passed
+        compiled = compile_synthesis_pn(problem, n)
+        result = solve(compiled, BFS_CONFIG)
+        assert result.solved
+        decoded = decode_program(result.plan.actions, compiled)
+        assert validate_program(decoded.program, problem).passed
 
     def test_negex_initial_value_tracks_first_label(self):
         frame = tiny_frame()
