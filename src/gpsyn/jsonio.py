@@ -71,17 +71,31 @@ def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -
     return doc
 
 
+def _name(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ParseError(f"malformed problem document: name {value!r} is not a string")
+
+
+def _list(value) -> list:
+    """A list of names or literal texts; a bare string would read as its
+    characters."""
+    if isinstance(value, list):
+        return value
+    raise ParseError(f"malformed problem document: {value!r} is not a list")
+
+
 def problem_from_dict(doc: dict) -> GeneralizedProblem:
     try:
         builder = FrameBuilder()
-        for name in doc["frame"]["fluents"]:
-            builder.fluent(str(name))
+        for name in _list(doc["frame"]["fluents"]):
+            builder.fluent(_name(name))
         for act in doc["frame"]["actions"]:
             builder.action(
-                str(act["name"]),
-                pre=[str(t) for t in act.get("pre", [])],
+                _name(act["name"]),
+                pre=_list(act.get("pre", [])),
                 cond=[
-                    ([str(t) for t in eff.get("when", [])], [str(t) for t in eff["then"]])
+                    (_list(eff.get("when", [])), _list(eff["then"]))
                     for eff in act.get("effects", [])
                 ],
             )
@@ -92,9 +106,9 @@ def problem_from_dict(doc: dict) -> GeneralizedProblem:
             instances.append(
                 ClassicalInstance(
                     frame,
-                    str(inst["name"]),
-                    frame.state(str(t) for t in inst["init"]),
-                    frame.masks(*[str(t) for t in inst["goal"]]),
+                    _name(inst["name"]),
+                    frame.state(_list(inst["init"])),
+                    frame.masks(*_list(inst["goal"])),
                     label,
                 )
             )

@@ -25,6 +25,18 @@ def corridor_pair():
     )
 
 
+def _two_fluent_doc():
+    return {
+        "frame": {
+            "fluents": ["p", "q"],
+            "actions": [
+                {"name": "a", "pre": ["p"], "effects": [{"when": ["p"], "then": ["q"]}]}
+            ],
+        },
+        "instances": [{"name": "i", "label": "positive", "init": ["p"], "goal": ["q"]}],
+    }
+
+
 class TestJson:
     def test_roundtrip_preserves_everything(self, corridor_pair):
         doc = jsonio.problem_to_dict(corridor_pair)
@@ -71,6 +83,41 @@ class TestJson:
         doc = jsonio.problem_to_dict(corridor_pair)
         doc["frame"]["actions"][0]["effects"][0]["then"] = []
         with pytest.raises(ParseError, match="empty effect set"):
+            jsonio.problem_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["frame"].update(fluents="pq"),
+            lambda d: d["frame"]["actions"][0].update(pre="pq"),
+            lambda d: d["frame"]["actions"][0]["effects"][0].update(when="pq"),
+            lambda d: d["frame"]["actions"][0]["effects"][0].update(then="pq"),
+            lambda d: d["instances"][0].update(init="pq"),
+            lambda d: d["instances"][0].update(goal="pq"),
+        ],
+        ids=["fluents", "pre", "when", "then", "init", "goal"],
+    )
+    def test_string_where_a_list_belongs_raises_parse_error(self, edit):
+        # read as a sequence, "pq" would be the fluents p and q
+        doc = _two_fluent_doc()
+        jsonio.problem_from_dict(doc)
+        edit(doc)
+        with pytest.raises(ParseError, match="'pq' is not a list"):
+            jsonio.problem_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["frame"]["fluents"].append(5),
+            lambda d: d["frame"]["actions"][0].update(name=5),
+            lambda d: d["instances"][0].update(name=5),
+        ],
+        ids=["fluent", "action", "instance"],
+    )
+    def test_non_string_name_raises_parse_error(self, edit):
+        doc = _two_fluent_doc()
+        edit(doc)
+        with pytest.raises(ParseError, match="name 5 is not a string"):
             jsonio.problem_from_dict(doc)
 
     def test_missing_file_raises_parse_error(self, tmp_path):
