@@ -4,39 +4,28 @@ Three variants over one builder:
 
 * synthesis from positive instances only: programming actions write
   instructions onto empty lines, execution actions simulate them, and a
-  per-instance ``end`` chains through the instances to the ``done`` goal;
-* synthesis from positive and negative instances (PN): the same, plus a
-  check action before every instruction execution that records whether its
-  precondition holds, a store/compare/process gadget that witnesses repeated
-  program states (infinite loops), ``skip`` actions that end an instance on
-  a detected failure, and a ``negex`` fluent, true while a negative runs;
-* validation of a given program on labeled instances: the PN compilation
-  with the program written into the initial state and no programming
-  actions.
+  per-instance ``end`` chains through the instances to the ``done`` goal.
+  A programming action needs its instruction's precondition (for ``end``,
+  the instance goal), since every run must succeed;
+* synthesis from positive and negative instances (PN) adds a check before
+  each execution that records whether its precondition holds, a
+  store/compare/process gadget that witnesses repeated program states
+  (infinite loops), ``skip`` actions that end an instance on a detected
+  failure, and one guard, ``negex``, true while a negative runs: executing
+  ``end`` needs ``¬negex``, and ``skip`` and the gadget need ``negex``.
+  Programming actions need nothing of the running instance, so a negative
+  may fail on a line that only it reaches;
+* validation of a given program is PN with the program written into the
+  initial state and no programming actions.
 
-``negex`` is the one guard that makes execution succeed exactly on the
-positives and fail exactly on the negatives: ``exec`` of ``end`` needs
-``¬negex``, and ``skip`` and the gadget need ``negex``. In the positive-only
-compilation a programming action requires its instruction's precondition
-(the action's, or the instance goal for ``end``), since every run must
-succeed; in PN it requires nothing of the instance, so a line first reached
-on a negative may be written to fail there.
-
-The variants differ only in which actions exist: programming actions when
-synthesizing, and the checks, gadget, skips and ``negex`` when not
-positive-only. So one instruction-action loop builds all three. Every action carries a :class:`Role`
-whose ``kind`` is the action-name prefix (``prog``, ``exec``, ``check``,
-``store``, ``compare``, ``process``, ``skip``); the action name is formatted
-from the role alone.
-
-The builder holds every compiled fluent (``pc``, ``ins``, ``nil``, ``test``,
-``done``, the gadget's flags, copies and corrects, ``negex``) as its bit, and
-writes each effect directly as a ``(cond.pos, cond.neg, eff.pos, eff.neg)``
-mask tuple and each precondition, like the ``(done, 0)`` goal, as a
-``(pos, neg)`` mask pair. Compiled instances use the same
-frame/state types as ordinary instances, with base fluents keeping their
-original ids, so the planner runs on them directly and solution plans decode
-back into programs and per-instance outcomes.
+Every action carries a :class:`Role` whose ``kind`` is the action-name prefix
+(``prog``, ``exec``, ``check``, ``store``, ``compare``, ``process``,
+``skip``); the action name is formatted from the role alone. The builder
+holds every compiled fluent as its bit and writes each effect as a
+``(cond.pos, cond.neg, eff.pos, eff.neg)`` mask tuple and each precondition,
+like the ``(done, 0)`` goal, as a ``(pos, neg)`` mask pair. Base fluents keep
+their ids, so the planner runs on compiled instances directly and solution
+plans decode back into programs and per-instance outcomes.
 """
 
 from __future__ import annotations

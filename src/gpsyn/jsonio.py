@@ -71,31 +71,25 @@ def problem_to_dict(problem: GeneralizedProblem, manifest: dict | None = None) -
     return doc
 
 
-def _name(value) -> str:
-    if isinstance(value, str):
+def _typed(value, kind: type):
+    """``value`` if it has the JSON type ``kind``: a bare string where a list
+    belongs would read as its characters, and a number would become a name."""
+    if isinstance(value, kind):
         return value
-    raise ParseError(f"malformed problem document: name {value!r} is not a string")
-
-
-def _list(value) -> list:
-    """A list of names or literal texts; a bare string would read as its
-    characters."""
-    if isinstance(value, list):
-        return value
-    raise ParseError(f"malformed problem document: {value!r} is not a list")
+    raise ParseError(f"malformed problem document: {value!r} is not a {kind.__name__}")
 
 
 def problem_from_dict(doc: dict) -> GeneralizedProblem:
     try:
         builder = FrameBuilder()
-        for name in _list(doc["frame"]["fluents"]):
-            builder.fluent(_name(name))
+        for name in _typed(doc["frame"]["fluents"], list):
+            builder.fluent(_typed(name, str))
         for act in doc["frame"]["actions"]:
             builder.action(
-                _name(act["name"]),
-                pre=_list(act.get("pre", [])),
+                _typed(act["name"], str),
+                pre=_typed(act.get("pre", []), list),
                 cond=[
-                    (_list(eff.get("when", [])), _list(eff["then"]))
+                    (_typed(eff.get("when", []), list), _typed(eff["then"], list))
                     for eff in act.get("effects", [])
                 ],
             )
@@ -106,9 +100,9 @@ def problem_from_dict(doc: dict) -> GeneralizedProblem:
             instances.append(
                 ClassicalInstance(
                     frame,
-                    _name(inst["name"]),
-                    frame.state(_list(inst["init"])),
-                    frame.masks(*_list(inst["goal"])),
+                    _typed(inst["name"], str),
+                    frame.state(_typed(inst["init"], list)),
+                    frame.masks(*_typed(inst["goal"], list)),
                     label,
                 )
             )

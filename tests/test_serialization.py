@@ -117,7 +117,7 @@ class TestJson:
     def test_non_string_name_raises_parse_error(self, edit):
         doc = _two_fluent_doc()
         edit(doc)
-        with pytest.raises(ParseError, match="name 5 is not a string"):
+        with pytest.raises(ParseError, match="5 is not a str"):
             jsonio.problem_from_dict(doc)
 
     def test_missing_file_raises_parse_error(self, tmp_path):
