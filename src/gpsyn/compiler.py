@@ -12,9 +12,11 @@ Three variants over one builder:
   store/compare/process gadget that witnesses repeated program states
   (infinite loops), ``skip`` actions that end an instance on a detected
   failure, and one guard, ``negex``, true while a negative runs: executing
-  ``end`` needs ``¬negex``, and ``skip`` and the gadget need ``negex``.
-  Programming actions need nothing of the running instance, so a negative
-  may fail on a line that only it reaches;
+  ``end`` needs ``¬negex`` and ``skip`` needs ``negex``. The gadget reads
+  no label, so a search does the same work whichever instances are
+  negative; it stores and compares only the state right after a jump back,
+  which every loop takes. Programming actions need nothing of the running
+  instance, so a negative may fail on a line that only it reaches;
 * validation of a given program is PN with the program written into the
   initial state and no programming actions.
 
@@ -86,7 +88,7 @@ class Role:
         return "__".join(parts)
 
 
-_FLAGS = ("checked", "holds", "stored", "acted", "loop")
+_FLAGS = ("checked", "holds", "stored", "jumped", "loop")
 
 
 @dataclass(frozen=True)
@@ -223,13 +225,10 @@ class _Builder:
 
     def _end_effects(self, t: int) -> tuple[int, int]:
         """What finishing instance ``t`` does: restart execution on instance
-        ``t + 1`` (base state := its init, pc := 0, test advances, gadget
-        clears), or set ``done`` after the last instance."""
+        ``t + 1`` (base state := its init, pc := 0, test advances), or set
+        ``done`` after the last instance; either way the gadget clears."""
         if t == self.T:
-            if self.with_gadget:
-                flag = self.flag
-                return self.done | flag["acted"], flag["checked"] | flag["holds"]
-            return self.done, 0
+            return self.done, self.gadget
         inst = self.gp.instances[t]
         pos = inst.init | self.pc[0] | self.test[t]
         base = (1 << self.base.width) - 1
@@ -254,26 +253,29 @@ class _Builder:
     def _exec_action(self, ins: Instruction, i: int, t: int | None) -> None:
         pos, neg = self._pre_of(ins, t)
         pos |= self.pc[i] | self.ins[i][ins]
-        acted = unchecked = 0
+        jumped = unchecked = 0
         if self.with_gadget:
-            acted, unchecked = self.flag["acted"], self.flag["checked"] | self.flag["holds"]
+            jumped, unchecked = self.flag["jumped"], self.flag["checked"] | self.flag["holds"]
             pos |= unchecked
         if isinstance(ins, ActInstruction):
-            move = (0, 0, self.pc[i + 1] | acted, self.pc[i] | unchecked)
+            move = (0, 0, self.pc[i + 1], self.pc[i] | unchecked | jumped)
             cond = self.base.action(ins.action).cond + (move,)
         elif isinstance(ins, GotoInstruction):
             f = 1 << self.base.fluent_id(ins.fluent)
+            # Every loop of a run takes a jump to the same or an earlier line,
+            # and only such a jump sets ``jumped``: the gadget stores and
+            # compares only the state it reaches.
             if ins.target == i:
-                # Self-jump: only the fall-through branch moves the counter;
-                # a false condition leaves the program state unchanged.
-                cond = [(f, 0, self.pc[i + 1], self.pc[i])]
-                if acted:
-                    cond.append((0, 0, acted, unchecked))
+                # Self-jump: a false condition leaves the program state unchanged.
+                cond = [(f, 0, self.pc[i + 1], self.pc[i] | unchecked | jumped)]
+                if jumped:
+                    cond.append((0, f, jumped, unchecked))
             else:
+                back = jumped if ins.target < i else 0
                 cond = [
-                    (0, 0, acted, self.pc[i] | unchecked),
-                    (f, 0, self.pc[i + 1], 0),
-                    (0, f, self.pc[ins.target], 0),
+                    (0, 0, 0, self.pc[i] | unchecked),
+                    (f, 0, self.pc[i + 1], jumped),
+                    (0, f, self.pc[ins.target] | back, jumped & ~back),
                 ]
         else:
             neg |= self.negex
@@ -300,25 +302,23 @@ class _Builder:
 
     def _gadget_actions(self) -> None:
         flag = self.flag
-        stored, acted, checked, loop = flag["stored"], flag["acted"], flag["checked"], flag["loop"]
-        cond = [(0, 0, stored, acted)] + [(f, 0, c, 0) for f, c, _ in self.watched]
-        self._add_action(Role("store"), acted | self.negex, checked | stored, cond)
+        stored, jumped, checked, loop = (flag[k] for k in ("stored", "jumped", "checked", "loop"))
+        cond = [(0, 0, stored, jumped)] + [(f, 0, c, 0) for f, c, _ in self.watched]
+        self._add_action(Role("store"), jumped, checked | stored, cond)
 
-        cond = [(0, 0, loop, stored | acted)]
+        cond = [(0, 0, loop, stored | jumped)]
         for f, c, k in self.watched:
             cond += [(f | c, 0, k, 0), (0, f | c, k, 0)]
-        self._add_action(Role("compare"), stored | acted | self.negex, checked | loop, cond)
+        self._add_action(Role("compare"), stored | jumped, checked | loop, cond)
 
-        pos = loop | self.corrects | self.negex
+        pos = loop | self.corrects
         self._add_action(Role("process"), pos, 0, [(0, 0, checked, loop)])
 
     def _skip_action(self, t: int) -> None:
         flag = self.flag
-        pos, neg = self._end_effects(t)
-        # clear the check and every stored copy, also after the last instance
-        neg |= self.gadget & ~(flag["holds"] | flag["acted"] | flag["loop"])
         pre_pos = self.test[t - 1] | flag["checked"] | self.negex
-        self._add_action(Role("skip", t=t), pre_pos, flag["holds"], [(0, 0, pos, neg)])
+        cond = [(0, 0, *self._end_effects(t))]
+        self._add_action(Role("skip", t=t), pre_pos, flag["holds"], cond)
 
     # -- variants -----------------------------------------------------------
 

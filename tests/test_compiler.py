@@ -18,6 +18,8 @@ from gpsyn.model import (
     FrameBuilder,
     GeneralizedProblem,
     Label,
+    holds,
+    successor_bits,
 )
 from gpsyn.planner import BFS_CONFIG, SolveStatus, solve
 from gpsyn.program import (
@@ -171,9 +173,9 @@ class TestStructure:
         # precondition masks and effect tuples
         assert [digest(c) for c in (positive, pn, validation, validation_neg)] == [
             "7876c879baced7e3589ac9bae4d6b2bfa1df9e8912845161f53228fa4a7550e0",
-            "91c21e5793985d9291b338d2cf03a26a3d59cf4b9671ae6031a99a869704b797",
-            "1a1b58def24697d13ed563ed40b399d6fdc9759273c2124877527734fcb7ae23",
-            "4700ce1f37d05151094c1e16a2c48f99d382f7b1944566fedc928258cf57351b",
+            "0bc4aa8c5dcaf639bfde9087d43f3c95d76f0597488a5ebd78c682695aa5478d",
+            "8adcbe874bff27cad08f1cbe000076b82d6ab10ea7086e57bbf9722c4a725ad5",
+            "6f4e62347f8ca61829b9fd963e9e722e27e8b3b7b8f093619a26a124d7e0e58c",
         ]
 
     @pytest.mark.parametrize(
@@ -332,16 +334,43 @@ class TestValidation:
                 (a.name, a.pre, a.cond) for a in kept
             ]
 
-    @pytest.mark.parametrize("size", [16, 31, 62])
-    def test_store_is_unreachable_on_positives(self, size):
-        # A positive never stores a copy, so BFS walks the run about once
-        # instead of once per possible store point.
-        task = build_task("robopainter", [InstanceSpec(size)])
-        program = reference_program("robopainter")
-        steps = execute(program, task.instances[0]).steps
-        result = solve(compile_validation(task, program), BFS_CONFIG)
-        assert result.solved
-        assert result.stats.expansions <= 3 * steps
+    @pytest.mark.parametrize("domain", ["robopainter", "list", "gripper"])
+    def test_labels_do_not_change_the_search(self, domain):
+        # The gadget reads no label, so BFS stores and compares the same
+        # copies on every instance and only the way each one ends differs.
+        sizes = [12, 10, 8, 6, 4, 2]
+        program = reference_program(domain)
+
+        def counts(negatives):
+            specs = [InstanceSpec(s, Label.NEGATIVE if s in negatives else Label.POSITIVE)
+                     for s in sizes]
+            result = solve(compile_validation(build_task(domain, specs), program), BFS_CONFIG)
+            assert result.solved
+            return result.stats.expansions, result.stats.generated
+
+        expected = counts(())
+        for negatives in [(10, 8), (4, 2), (10, 4), (8, 6, 2)]:
+            assert counts(negatives) == expected
+
+    def test_store_applies_only_right_after_a_jump_back(self):
+        task = build_task("robopainter", [InstanceSpec(5)])
+        compiled = compile_validation(task, reference_program("robopainter"))
+        result = solve(compiled, BFS_CONFIG)
+        store = compiled.frame.action("store").pre
+        bits, jumps_back = compiled.init, 0
+        for idx in result.plan.actions:
+            role = compiled.roles[idx]
+            bits = successor_bits(bits, compiled.frame.actions[idx])
+            ins = role.instruction
+            jumped_back = (
+                role.kind == "exec"
+                and isinstance(ins, GotoInstruction)
+                and ins.target <= role.line
+                and bits >> compiled.frame.fluent_id(f"pc_{ins.target}") & 1
+            )
+            jumps_back += bool(jumped_back)
+            assert holds(bits, store) == bool(jumped_back)
+        assert jumps_back == 3
 
 
 class TestSynthesisPN:
@@ -377,12 +406,13 @@ class TestSynthesisPN:
                 assert pos >> negex & 1
 
     @pytest.mark.parametrize("variant", ["validation", "pn"])
-    def test_negex_gates_loop_gadget(self, variant, corridor_task, loop_after_body_program):
+    def test_loop_gadget_reads_no_label(self, variant, corridor_task, loop_after_body_program):
         compiled = gadget_variant(variant, corridor_task, loop_after_body_program)
         negex = compiled.frame.fluent_id("negex")
         for name in ("store", "compare", "process"):
-            pos, _ = compiled.frame.action(name).pre
-            assert pos >> negex & 1
+            action = compiled.frame.action(name)
+            for pos, neg in [action.pre] + [c[:2] for c in action.cond]:
+                assert not (pos | neg) >> negex & 1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_negative_may_fail_on_a_line_it_reaches_first(self, n):

@@ -108,7 +108,7 @@ class TestTriggeredEffects:
         bits = compiled.init
         bits |= 1 << compiled.frame.fluent_id("copy_at_1")
         bits |= 1 << compiled.frame.fluent_id("stored")
-        bits |= 1 << compiled.frame.fluent_id("acted")
+        bits |= 1 << compiled.frame.fluent_id("jumped")
         assert bits >> f & 1
         pos, _ = triggered_masks(bits, compare)
         assert pos >> compiled.frame.fluent_id("correct_at_1") & 1
