@@ -92,58 +92,120 @@ class SolveResult:
 
 
 class _HAdd:
-    """Additive heuristic over literals, with conditional effects split into
-    one relaxed operator per effect branch (precondition ∪ condition).
+    """Additive heuristic over literals (Bonet & Geffner 2001), with
+    conditional effects split into one relaxed operator per effect branch
+    whose precondition is the action's precondition ∪ the branch condition.
 
-    Costs are integers, so ``value`` settles literals in increasing cost
-    through one list per cost (Dial's buckets) rather than a binary heap. The
-    state's own literals hold at cost 0 and are settled first, with no queue:
-    they only count down the unmet preconditions of their consumers. An
-    operator's cost, 1 + the sum of its precondition costs, is summed when
-    its last precondition settles."""
+    Unmet literals are counted once per action for its precondition, and per
+    branch for its condition literals outside the precondition plus one gate
+    token. When an action's count reaches 0, ``precost`` = Σ cost(pre) is
+    summed once and the gate token comes off each of its branches. A branch
+    fires at 1 + precost + Σ cost(cond ∖ pre), i.e. 1 + Σ cost(pre ∪ cond),
+    so a literal in both counts once. Costs are integers, so ``value``
+    settles literals in increasing cost through one list per cost (Dial's
+    buckets) rather than a binary heap.
+
+    The object is stateful: it keeps the counts and costs of the last state
+    it evaluated (at first the all-false state), with the state's own
+    literals at cost 0 and already counted. A new state patches them only at
+    the fluents where the two states differ, and ``value`` propagates on a
+    copy. So one instance serves one search at a time; :func:`h_add` builds
+    a fresh one per call."""
 
     def __init__(self, frame, goal):
-        self.width = frame.width
-        self.op_pre, self.op_add = [], []
+        self.bits = 0
+        self.cost = [INF, 0] * frame.width  # literal 2f: f holds, 2f + 1: it does not
+        act_pre, act_unsat, act_branches = [], [], []
+        br_act, br_cond, br_add, br_unsat = [], [], [], []
+        act_consumers = [[] for _ in self.cost]
+        br_consumers = [[] for _ in self.cost]
         for act in frame.actions:
+            if not act.cond:
+                continue  # no branch, nothing to fire
+            a = len(act_pre)
             ppos, pneg = act.pre
-            for cpos, cneg, epos, eneg in act.cond:
-                # the mask union counts a literal shared by precondition and
-                # condition once
-                self.op_pre.append(_lits(ppos | cpos, pneg | cneg))
-                self.op_add.append(_lits(epos, eneg))
-        self.pre_counts = [len(p) for p in self.op_pre]
-        self.consumers = [[] for _ in range(2 * frame.width)]
-        for o, pre in enumerate(self.op_pre):
+            pre = _lits(ppos, pneg)
             for p in pre:
-                self.consumers[p].append(o)
+                act_consumers[p].append(a)
+            # counts at the all-false state, where every negative literal
+            # holds; a branch's gate is on while its action's count is not 0
+            act_pre.append(pre)
+            act_unsat.append(ppos.bit_count())
+            b = len(br_act)
+            act_branches.append(list(range(b, b + len(act.cond))))
+            for cpos, cneg, epos, eneg in act.cond:
+                cpos &= ~ppos
+                cneg &= ~pneg
+                cond = _lits(cpos, cneg)
+                for p in cond:
+                    br_consumers[p].append(b)
+                br_act.append(a)
+                br_cond.append(cond)
+                br_add.append(_lits(epos, eneg))
+                br_unsat.append(cpos.bit_count() + (ppos != 0))
+                b += 1
+        self.act_pre, self.act_unsat, self.act_branches = act_pre, act_unsat, act_branches
+        self.br_act, self.br_cond, self.br_add, self.br_unsat = br_act, br_cond, br_add, br_unsat
+        self.act_consumers, self.br_consumers = act_consumers, br_consumers
+        self.goal = goal
         self.goal_lits = _lits(*goal)
         self.goal_set = frozenset(self.goal_lits)
 
+    def _move_to(self, bits: int) -> None:
+        """Patch the counts and costs of the last state into those of
+        ``bits``, one changed fluent at a time."""
+        cost, act_unsat, br_unsat = self.cost, self.act_unsat, self.br_unsat
+        act_branches, act_consumers, br_consumers = (
+            self.act_branches, self.act_consumers, self.br_consumers
+        )
+        for f in bit_ids(bits ^ self.bits):
+            now = 2 * f + (not bits >> f & 1)
+            old = now ^ 1
+            cost[now], cost[old] = 0, INF
+            for b in br_consumers[old]:
+                br_unsat[b] += 1
+            for b in br_consumers[now]:
+                br_unsat[b] -= 1
+            for a in act_consumers[old]:
+                if not act_unsat[a]:
+                    for b in act_branches[a]:
+                        br_unsat[b] += 1  # the gate goes back on
+                act_unsat[a] += 1
+            for a in act_consumers[now]:
+                n = act_unsat[a] - 1
+                act_unsat[a] = n
+                if not n:
+                    for b in act_branches[a]:
+                        br_unsat[b] -= 1
+        self.bits = bits
+
     def value(self, bits: int) -> float:
-        cost = [INF] * (2 * self.width)
-        unsat = self.pre_counts[:]
-        consumers = self.consumers
-        # Character f of the reversed bit string is fluent f.
-        for f, ch in zip(range(self.width), f"{bits:0{self.width}b}"[::-1]):
-            lit = 2 * f + (ch == "0")
-            cost[lit] = 0
-            for o in consumers[lit]:
-                unsat[o] -= 1
-        goal_left = sum(1 for g in self.goal_lits if cost[g])
+        gpos, gneg = self.goal
+        goal_left = (gpos & ~bits).bit_count() + (gneg & bits).bit_count()
         if not goal_left:
             return 0
-        op_pre, op_add, goal_set = self.op_pre, self.op_add, self.goal_set
-        # Operators whose preconditions all hold fire at cost 1.
+        self._move_to(bits)
+        cost = self.cost[:]
+        act_unsat = self.act_unsat[:]
+        br_unsat = self.br_unsat[:]
+        act_pre, act_branches, act_consumers = (
+            self.act_pre, self.act_branches, self.act_consumers
+        )
+        br_act, br_cond, br_add, br_consumers = (
+            self.br_act, self.br_cond, self.br_add, self.br_consumers
+        )
+        goal_set = self.goal_set
+        get_cost = cost.__getitem__
+        # Branches whose literals all hold fire at cost 1, with precost 0.
+        precost = [0] * len(act_pre)
         buckets = {1: []}
-        o = -1
-        for _ in range(unsat.count(0)):
-            o = unsat.index(0, o + 1)
-            for q in op_add[o]:
+        b = -1
+        for _ in range(br_unsat.count(0)):
+            b = br_unsat.index(0, b + 1)
+            for q in br_add[b]:
                 if cost[q] > 1:
                     cost[q] = 1
                     buckets[1].append(q)
-        get_cost = cost.__getitem__
         c = 1
         while buckets:
             for p in buckets.pop(c, ()):
@@ -153,12 +215,19 @@ class _HAdd:
                     goal_left -= 1
                     if not goal_left:
                         return sum(map(get_cost, self.goal_lits))
-                for o in consumers[p]:
-                    n = unsat[o] - 1
-                    unsat[o] = n
+                branches = br_consumers[p]
+                for a in act_consumers[p]:
+                    n = act_unsat[a] - 1
+                    act_unsat[a] = n
                     if not n:
-                        oc = 1 + sum(map(get_cost, op_pre[o]))
-                        for q in op_add[o]:
+                        precost[a] = sum(map(get_cost, act_pre[a]))
+                        branches = branches + act_branches[a]  # their gate tokens
+                for b in branches:
+                    n = br_unsat[b] - 1
+                    br_unsat[b] = n
+                    if not n:
+                        oc = 1 + precost[br_act[b]] + sum(map(get_cost, br_cond[b]))
+                        for q in br_add[b]:
                             if oc < cost[q]:
                                 cost[q] = oc
                                 buckets.setdefault(oc, []).append(q)
@@ -175,7 +244,8 @@ def h_add(bits: int, problem) -> float:
     problem goal.
 
     0 iff the goal already holds; infinite estimates imply the goal is
-    unreachable even without delete effects, hence truly unreachable.
+    unreachable even without delete effects, hence truly unreachable. Each
+    call builds a fresh evaluator, so no state carries over between calls.
     """
     return _HAdd(problem.frame, problem.goal).value(bits)
 

@@ -381,8 +381,8 @@ class TestExportPddl:
         assert "domain.pddl" in files and len(files) == 3
 
     def test_compiled_export_reimports_with_same_action_count(self, tmp_path):
-        from gpsyn import pddl as pddl_mod
         from gpsyn.compiler import compile_synthesis_pn
+        from pddl_reader import read_domain
 
         problem_path = write_problem(
             tmp_path, "p.json", "robopainter",
@@ -393,7 +393,7 @@ class TestExportPddl:
                      "--variant", "synth-pn", "--lines", "2", "--out-dir", str(out_dir)])
         assert code == EXIT_OK
         compiled = compile_synthesis_pn(jsonio.load_problem(problem_path), 2)
-        frame = pddl_mod.read_domain((out_dir / "domain.pddl").read_text())
+        _, frame = read_domain((out_dir / "domain.pddl").read_text())
         assert len(frame.actions) == len(compiled.frame.actions)
 
     def test_validation_export_requires_program(self, tmp_path):

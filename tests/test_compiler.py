@@ -545,6 +545,47 @@ class TestSynthesisBiconditional:
                 unsolvable_seen += 1
         assert solvable_seen and unsolvable_seen
 
+    def test_pn_solvable_iff_some_program_in_the_line_universe_validates(self):
+        # The same "iff" with no whitelist, over frames whose actions have
+        # preconditions: BFS on the compiled task against every program of
+        # the full line universe (acts, gotos to any line, end) at n = 2.
+        # A negative may fail on a line that no positive reaches, which a
+        # compilation that pruned programming actions by the instruction's
+        # precondition missed (seed 4 has two such cases).
+        import itertools
+
+        n = 2
+        rng = random.Random(4)
+        solvable_seen = unsolvable_seen = 0
+        for _ in range(200):
+            frame = random_frame(rng, rng.randint(2, 3), rng.randint(1, 2))
+            labels = [Label.POSITIVE] + [rng.choice(list(Label)) for _ in range(rng.randint(1, 2))]
+            problem = random_generalized_problem(rng, frame, 0, labels)
+            universe = [ActInstruction(a.name) for a in frame.actions]
+            universe += [GotoInstruction(t, f) for t in range(n + 1) for f in frame.fluents]
+            universe.append(EndInstruction())
+            compiled = compile_synthesis_pn(problem, n)
+            for i in range(n):
+                # one programming action per instruction, and one end copy
+                # per instance
+                programmable = [r.instruction for r in compiled.roles
+                                if r.kind == "prog" and r.line == i]
+                assert list(dict.fromkeys(programmable)) == universe
+            any_passes = any(
+                validate_program(Program((*lines, EndInstruction())), problem).passed
+                for lines in itertools.product(universe, repeat=n)
+            )
+            result = solve(compiled, BFS_CONFIG)
+            assert result.status is not SolveStatus.RESOURCE_EXHAUSTED
+            assert result.solved == any_passes
+            if result.solved:
+                solvable_seen += 1
+                decoded = decode_program(result.plan.actions, compiled)
+                assert validate_program(decoded.program, problem).passed
+            else:
+                unsolvable_seen += 1
+        assert solvable_seen and unsolvable_seen
+
 
 class TestOracleEquivalenceSample:
     def test_random_sample_agrees(self):

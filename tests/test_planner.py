@@ -23,6 +23,7 @@ from gpsyn.planner import (
     h_add,
     solve,
 )
+from gpsyn.program import format_program
 from helpers import (
     random_frame,
     random_generalized_problem,
@@ -31,7 +32,7 @@ from helpers import (
     random_validation_case,
 )
 
-from gpsyn.compiler import compile_synthesis_pn, compile_validation
+from gpsyn.compiler import compile_synthesis_pn, compile_validation, decode_program
 from gpsyn.domains import InstanceSpec, build_task
 
 
@@ -269,6 +270,51 @@ class TestHAdd:
                 kinds["inf" if expected == INF else min(expected, 2)] += 1
         assert kinds[0] and kinds[1] and kinds[2] and kinds["inf"], kinds
 
+    def test_value_does_not_depend_on_call_order(self):
+        # One _HAdd patches the counts of the state it evaluated last, so
+        # each value must equal the reference whichever states came before:
+        # shuffled states, each state twice in a row, and each state next to
+        # its complement.
+        b = FrameBuilder()
+        for name in ("a", "b", "c", "d", "g"):
+            b.fluent(name)
+        b.action("free", cond=[([], ["a"])])  # empty precondition
+        b.action("inert", pre=["a"])  # no branches
+        # branch conditions that repeat (a) or negate (b, !a) a precondition literal
+        b.action(
+            "mixed", pre=["a", "!b"], cond=[(["a", "c"], ["d"]), (["b"], ["c"]), (["!a"], ["!c"])]
+        )
+        b.action("set_b", pre=["c"], cond=[([], ["b"])])
+        b.action("set_c", pre=["!d"], cond=[(["!a"], ["c"])])
+        b.action("reach", pre=["b", "d"], cond=[(["b", "!c"], ["g"])])
+        hand = b.build()
+        every_state = range(1 << hand.width)
+        cases = [(FrameBuilder().build(), (0, 0), [0])]
+        cases += [(hand, hand.masks(*g), every_state) for g in (["g"], ["d", "!c"], ["!a", "b"])]
+        rng = random.Random(43)
+        for _ in range(40):
+            frame = random_frame(rng, rng.randint(2, 8), rng.randint(1, 8))
+            states = [random_state(rng, frame) for _ in range(6)]
+            cases.append((frame, random_goal(rng, frame, max_literals=4), states))
+        task = build_task("list", [InstanceSpec(2), InstanceSpec(2, Label.NEGATIVE)])
+        compiled = compile_synthesis_pn(task, 2, allow_forward_gotos=False)
+        cases.append((compiled.frame, compiled.goal, bfs_states(compiled, 30)))
+        kinds = Counter()
+        for frame, goal, states in cases:
+            full = (1 << frame.width) - 1
+            order = list(states)
+            rng.shuffle(order)
+            order += [s for s in states for _ in range(2)]
+            order += [x for s in states for x in (s, s ^ full)]
+            heuristic = planner._HAdd(frame, goal)
+            expected = {}
+            for state in order:
+                if state not in expected:
+                    expected[state] = reference_h_add(frame, goal, state)
+                assert heuristic.value(state) == expected[state]
+                kinds["inf" if expected[state] == INF else min(expected[state], 2)] += 1
+        assert kinds[0] and kinds[1] and kinds[2] and kinds["inf"], kinds
+
     def test_zero_iff_goal_holds(self):
         frame = chain_frame(3)
         inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f0"))
@@ -325,6 +371,35 @@ class TestHAdd:
         frame = chain_frame(3)
         inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f3"))
         assert solve(inst, SearchConfig(heuristic=Heuristic.BLIND)).solved
+
+
+@pytest.mark.parametrize(
+    "domain, specs, counts, program",
+    [
+        (
+            "trisum",
+            [InstanceSpec(2), InstanceSpec(4), InstanceSpec(4, Label.NEGATIVE)],
+            (148, 344, 343, 151),
+            "0. add_b_to_a\n1. dec_b\n2. goto(0,!val_b_0)\n3. end\n",
+        ),
+        (
+            "list",
+            [InstanceSpec(2), InstanceSpec(4), InstanceSpec(3, Label.NEGATIVE)],
+            (117, 199, 198, 71),
+            "0. visit\n1. next\n2. goto(0,!tail_visited)\n3. end\n",
+        ),
+    ],
+    ids=["trisum", "list"],
+)
+def test_gbfs_counts_on_pn_synthesis_are_pinned(domain, specs, counts, program):
+    # GBFS with h_add on two criterion-5 tasks (3 lines, backward gotos
+    # only): any change to an h value or to the search order moves these
+    # (expansions, generated, evaluations, dead_ends).
+    compiled = compile_synthesis_pn(build_task(domain, specs), 3, allow_forward_gotos=False)
+    result = solve(compiled, SearchConfig())
+    stats = result.stats
+    assert (stats.expansions, stats.generated, stats.evaluations, stats.dead_ends) == counts
+    assert format_program(decode_program(result.plan.actions, compiled).program) == program
 
 
 def test_bfs_decides_reachability():

@@ -15,6 +15,7 @@ from gpsyn.model import (
     successor_bits,
 )
 from helpers import random_frame, random_generalized_problem
+from pddl_reader import read_domain, read_problem
 
 
 @pytest.fixture(scope="module")
@@ -152,9 +153,7 @@ class TestPddl:
         b.action("flip", cond=[(["on"], ["!on"]), (["!on"], ["on"])])
         frame = b.build()
         inst = ClassicalInstance(frame, "tiny", frame.state(["on"]), frame.masks("!on"))
-        back = pddl.read_problem(
-            pddl.write_problem(inst, "tiny"), pddl.read_domain(pddl.write_domain(frame))
-        )
+        back = read_problem(pddl.write_problem(inst, "tiny"), read_domain(pddl.write_domain(frame)))
         assert back.frame == frame
         assert back.init == inst.init
         assert back.goal == inst.goal
@@ -164,7 +163,7 @@ class TestPddl:
             "robopainter", [InstanceSpec(2), InstanceSpec(1, Label.NEGATIVE)]
         )
         compiled = compile_synthesis_pn(task, 2)
-        frame = pddl.read_domain(pddl.write_domain(compiled.frame))
+        _, frame = read_domain(pddl.write_domain(compiled.frame))
         assert len(frame.actions) == len(compiled.frame.actions)
         assert [a.name for a in frame.actions] == [a.name for a in compiled.frame.actions]
 
@@ -174,8 +173,8 @@ class TestPddl:
             frame = random_frame(rng, rng.randint(2, 5), rng.randint(1, 3))
             problem = random_generalized_problem(rng, frame, 1)
             inst = problem.instances[0]
-            frame2 = pddl.read_domain(pddl.write_domain(frame))
-            inst2 = pddl.read_problem(pddl.write_problem(inst, "t"), frame2)
+            domain = read_domain(pddl.write_domain(frame))
+            inst2 = read_problem(pddl.write_problem(inst, "t"), domain)
             assert reachable_space(inst) == reachable_space(inst2)
 
     def test_role_tags_survive_roundtrip(self, corridor_pair, loop_after_body_program=None):
@@ -183,7 +182,7 @@ class TestPddl:
         from gpsyn.program import parse_program
 
         compiled = compile_validation(task, parse_program("0. paint\n1. end\n"))
-        frame = pddl.read_domain(pddl.write_domain(compiled.frame))
+        _, frame = read_domain(pddl.write_domain(compiled.frame))
         names = [a.name for a in frame.actions]
         assert any(n.startswith("check__end__l1__t") for n in names)
         assert any(n.startswith("skip__t") for n in names)
@@ -197,8 +196,8 @@ class TestPddl:
             corridor_pair.instances[0], tmp_path, "rp2"
         )
         assert domain_path.exists() and problem_path.exists()
-        frame = pddl.read_domain(domain_path.read_text())
-        inst = pddl.read_problem(problem_path.read_text(), frame)
+        domain = read_domain(domain_path.read_text())
+        inst = read_problem(problem_path.read_text(), domain)
         assert inst.init == corridor_pair.instances[0].init
         assert inst.goal == corridor_pair.instances[0].goal
 
@@ -207,22 +206,22 @@ class TestPddl:
             (:predicates (p ?x))
             )"""
         with pytest.raises(ParseError):
-            pddl.read_domain(text)
+            read_domain(text)
 
     def test_reader_reports_unknown_fluents_as_parse_errors(self):
         domain = """(define (domain d) (:predicates (a))
             (:action x :parameters () :precondition (and (b)) :effect (and (a))))"""
         with pytest.raises(ParseError, match="unknown fluent 'b'"):
-            pddl.read_domain(domain)
-        frame = pddl.read_domain(domain.replace("(b)", "(a)"))
+            read_domain(domain)
+        parsed = read_domain(domain.replace("(b)", "(a)"))
         for init, goal in (("(z)", "(a)"), ("(a)", "(not (z))")):
             problem = f"(define (problem p) (:domain d) (:init {init}) (:goal (and {goal})))"
             with pytest.raises(ParseError, match="unknown fluent 'z'"):
-                pddl.read_problem(problem, frame)
+                read_problem(problem, parsed)
 
     def test_reader_rejects_garbage(self):
         with pytest.raises(ParseError):
-            pddl.read_domain("(define (domain x) (:predicates (p))")
+            read_domain("(define (domain x) (:predicates (p))")
 
     @pytest.mark.parametrize(
         "text",
@@ -247,12 +246,13 @@ class TestPddl:
             "(define (problem p) (:domain d) (:domain d) (:goal (a)))",
             "(define (problem p) (:domain d) (:goal (a) (not (b))))",
             "(define (problem p) (:domain d) (:goal (and (a) (not (a)))))",
+            "(define (problem p) (:domain other) (:goal (a)))",
         ],
     )
     def test_reader_rejects_truncated_forms(self, text):
-        frame = pddl.read_domain("(define (domain d) (:predicates (a)))")
+        domain = read_domain("(define (domain d) (:predicates (a)))")
         with pytest.raises(ParseError, match="malformed PDDL"):
             if "(problem" in text:
-                pddl.read_problem(text, frame)
+                read_problem(text, domain)
             else:
-                pddl.read_domain(text)
+                read_domain(text)
