@@ -365,17 +365,8 @@ def _cmd_eval(args) -> int:
 def _cmd_export(args) -> int:
     started = time.time()
     problem = jsonio.load_problem(args.problem)
-    out_dir = Path(args.out_dir)
-    written = []
     if args.variant == "raw":
-        out_dir.mkdir(parents=True, exist_ok=True)
-        domain_path = out_dir / "domain.pddl"
-        domain_path.write_text(pddl.write_domain(problem.frame))
-        written.append(domain_path)
-        for inst in problem.instances:
-            p = out_dir / f"{inst.name}.pddl"
-            p.write_text(pddl.write_problem(inst, inst.name))
-            written.append(p)
+        frame, problems = problem.frame, problem.instances
     else:
         if args.variant == "validation":
             if not args.program:
@@ -385,7 +376,8 @@ def _cmd_export(args) -> int:
             compiled = compile_synthesis_positive(problem, args.lines)
         else:
             compiled = compile_synthesis_pn(problem, args.lines)
-        written.extend(pddl.export_files(compiled, out_dir, compiled.name))
+        frame, problems = compiled.frame, [compiled]
+    written = pddl.export_files(frame, problems, args.out_dir)
     manifest = _manifest(
         "export-pddl",
         {"variant": args.variant, "lines": args.lines},

@@ -6,7 +6,7 @@ Three variants over one builder:
   instructions onto empty lines, execution actions simulate them, and a
   per-instance ``end`` chains through the instances to the ``done`` goal.
   A programming action needs its instruction's precondition (for ``end``,
-  the instance goal), since every run must succeed;
+  one copy per instance, the instance goal), since every run must succeed;
 * synthesis from positive and negative instances (PN) adds a check before
   each execution that records whether its precondition holds, a
   store/compare/process gadget that witnesses repeated program states
@@ -16,9 +16,14 @@ Three variants over one builder:
   no label, so a search does the same work whichever instances are
   negative; it stores and compares only the state right after a jump back,
   which every loop takes. Programming actions need nothing of the running
-  instance, so a negative may fail on a line that only it reaches;
+  instance, so a negative may fail on a line that only it reaches, and one
+  writes ``end`` on a line for every instance;
 * validation of a given program is PN with the program written into the
   initial state and no programming actions.
+
+Line ``i``'s universe is what may stand on it, one ``ins_i_*`` fluent each:
+the program's instruction when validating; when synthesizing, the acts and
+gotos the options allow and ``end``, only ``end`` on line ``n``, and ``nil``.
 
 Every action carries a :class:`Role` whose ``kind`` is the action-name prefix
 (``prog``, ``exec``, ``check``, ``store``, ``compare``, ``process``,
@@ -69,7 +74,7 @@ class Role:
     instruction's precondition before ``exec`` executes it, ``store``,
     ``compare`` and ``process`` make up the loop-detection gadget, and
     ``skip`` ends an instance on a detected failure. ``t`` is the instance of
-    an ``end`` copy or of a ``skip``.
+    an ``end`` copy or of a ``skip``; PN programs ``end`` with no ``t``.
     """
 
     kind: str
@@ -173,7 +178,12 @@ class _Builder:
         return 1 << (len(self.fluents) - 1)
 
     def _line_universe(self, i: int) -> list[Instruction]:
-        """Instructions that may occupy line ``i`` (the fluent family)."""
+        """What may stand on line ``i``: nothing may fall through past line
+        ``n``, and the padded line of a one-line program holds nothing."""
+        if self.program is not None:
+            return list(self.program.lines[i : i + 1])
+        if i == self.n:
+            return [EndInstruction()]
         targets = range(self.n + 1) if self.allow_forward else range(i)
         out = [ActInstruction(act.name) for act in self.base.actions]
         out += [
@@ -187,14 +197,15 @@ class _Builder:
         """Lay out the compiled fluents after the base ones. Each is held as
         its bit; fluent bits are distinct, so a group's sum is its mask."""
         self.pc = [self._add_fluent(f"pc_{i}") for i in range(self.n + 1)]
-        self.line_universe = [self._line_universe(i) for i in range(self.n + 1)]
         self.ins: list[dict[Instruction, int]] = []
         self.nil: list[int] = []
-        for i, universe in enumerate(self.line_universe):
+        for i in range(self.n + 1):
+            universe = self._line_universe(i)
             self.ins.append(
                 {ins: self._add_fluent(f"ins_{i}_{instruction_slug(ins)}") for ins in universe}
             )
-            self.nil.append(self._add_fluent(f"ins_{i}_nil"))
+            if self.program is None:  # only a programming action reads nil
+                self.nil.append(self._add_fluent(f"ins_{i}_nil"))
         self.test = [self._add_fluent(f"test_{t}") for t in range(1, self.T + 1)]
         self.done = self._add_fluent("done")
         self.gadget = self.negex = 0
@@ -322,32 +333,20 @@ class _Builder:
 
     # -- variants -----------------------------------------------------------
 
-    def _programmable(self, i: int) -> list[Instruction]:
-        """Instructions with programming actions on line ``i``: everything on
-        interior lines, only ``end`` on line ``n`` (nothing may fall through
-        past the last line)."""
-        if i == self.n:
-            return [ins for ins in self.line_universe[i] if isinstance(ins, EndInstruction)]
-        return self.line_universe[i]
-
     def _instruction_actions(self) -> None:
-        """Every line's instruction actions, for all three variants: the
-        programmable instructions when synthesizing, the program's own
-        instruction when validating. Each gets a programming action
-        (synthesis), a check action (with the gadget) and an execution
-        action; ``end`` gets one copy of each per instance."""
+        """Every line's instruction actions, for all three variants: each
+        instruction of the line's universe gets a programming action
+        (synthesis; per instance for ``end`` without the gadget, where it
+        needs the goal), a check action (with the gadget) and an execution
+        action, and ``end`` one check and one execution per instance."""
         programming = self.program is None
-        for i in range(self.n + 1):
-            line = self._programmable(i) if programming else self.program.lines[i : i + 1]
-            for ins in line:
-                if ins not in self.ins[i]:
-                    raise ModelError(
-                        f"program line {i} ({instruction_slug(ins)}) not expressible "
-                        "in the compiled instruction set"
-                    )
+        for i, universe in enumerate(self.ins):
+            for ins in universe:
+                if programming and self.with_gadget:
+                    self._prog_action(ins, i, None)
                 copies = range(1, self.T + 1) if isinstance(ins, EndInstruction) else (None,)
                 for t in copies:
-                    if programming:
+                    if programming and not self.with_gadget:
                         self._prog_action(ins, i, t)
                     if self.with_gadget:
                         self._check_action(ins, i, t)
@@ -355,10 +354,9 @@ class _Builder:
 
     def _init_state(self) -> int:
         first = self.gp.instances[0]
-        bits = first.init | self.pc[0] | self.test[0]
-        written = () if self.program is None else self.program.lines
-        bits |= sum(self.ins[i][ins] for i, ins in enumerate(written))
-        bits |= sum(self.nil[len(written):])
+        bits = first.init | self.pc[0] | self.test[0] | sum(self.nil)
+        if self.program is not None:  # the program stands on its lines
+            bits |= sum(sum(line.values()) for line in self.ins)
         if first.label is Label.NEGATIVE:
             bits |= self.negex
         return bits

@@ -231,9 +231,13 @@ class GeneralizedProblem:
     instances: tuple[ClassicalInstance, ...]
 
     def __post_init__(self):
+        names = set()
         for inst in self.instances:
             if inst.frame is not self.frame and inst.frame != self.frame:
                 raise ModelError(f"instance {inst.name!r} uses a different frame")
+            if inst.name in names:
+                raise ModelError(f"two instances are named {inst.name!r}")
+            names.add(inst.name)
 
     @property
     def t_total(self) -> int:

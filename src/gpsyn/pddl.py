@@ -70,11 +70,15 @@ def write_problem(
     return "\n".join(lines) + "\n"
 
 
-def export_files(problem, out_dir, stem: str = "instance", domain_name: str = "gpsyn-domain"):
+def export_files(frame: Frame, problems, out_dir) -> list[Path]:
+    """Write ``domain.pddl`` and one ``<name>.pddl`` per problem, each text
+    rendered before any file is written; return the paths, domain first."""
+    if any(p.name == "domain" for p in problems):
+        raise ParseError("a problem named 'domain' would overwrite domain.pddl")
+    texts = [("domain", write_domain(frame))]
+    texts += [(p.name, write_problem(p, p.name)) for p in problems]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    domain_path = out / "domain.pddl"
-    problem_path = out / f"{stem}.pddl"
-    domain_path.write_text(write_domain(problem.frame, domain_name))
-    problem_path.write_text(write_problem(problem, stem, domain_name))
-    return domain_path, problem_path
+    for name, text in texts:
+        (out / f"{name}.pddl").write_text(text)
+    return [out / f"{name}.pddl" for name, _ in texts]

@@ -396,6 +396,21 @@ class TestExportPddl:
         _, frame = read_domain((out_dir / "domain.pddl").read_text())
         assert len(frame.actions) == len(compiled.frame.actions)
 
+    @pytest.mark.parametrize("names", [("twin", "twin"), ("domain", "other")])
+    def test_raw_export_refuses_to_overwrite_and_writes_nothing(self, tmp_path, capsys, names):
+        # Two instances named alike would write one file twice, and one
+        # named "domain" would overwrite domain.pddl with a problem.
+        path = write_problem(tmp_path, "p.json", "trisum", [InstanceSpec(2), InstanceSpec(3)])
+        doc = json.loads(path.read_text())
+        for inst, name in zip(doc["instances"], names):
+            inst["name"] = name
+        path.write_text(json.dumps(doc))
+        out_dir = tmp_path / "pddl"
+        code = main(["export-pddl", "--problem", str(path), "--out-dir", str(out_dir)])
+        assert code == EXIT_PARSE
+        assert not out_dir.exists()
+        assert "wrote" not in capsys.readouterr().out
+
     def test_validation_export_requires_program(self, tmp_path):
         problem = write_problem(tmp_path, "p.json", "trisum", [InstanceSpec(2)])
         code = main(["export-pddl", "--problem", str(problem),

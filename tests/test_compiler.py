@@ -27,6 +27,7 @@ from gpsyn.program import (
     EndInstruction,
     GotoInstruction,
     Program,
+    instruction_slug,
     parse_program,
 )
 from helpers import (
@@ -55,6 +56,13 @@ def tiny_problem(goal_texts=("p",), label=Label.POSITIVE, init=()):
     return GeneralizedProblem(frame, (inst,))
 
 
+def literals(action, frame):
+    """An action's name, precondition and effect branches as literal texts,
+    which compare across compilations that lay out different fluents."""
+    branches = [(frame.texts(cp, cn), frame.texts(ep, en)) for cp, cn, ep, en in action.cond]
+    return action.name, frame.texts(*action.pre), branches
+
+
 def gadget_variant(variant, problem, program):
     """The validation or PN compilation of ``problem``, the two variants
     with the loop gadget."""
@@ -65,14 +73,15 @@ def gadget_variant(variant, problem, program):
 
 class TestStructure:
     def test_fluent_count_formula(self):
-        # |F_n| = |F| + (n+1) + (n+1)(|I|+1) + T + 1 with
-        # |I| = |A| + (n+1)|F| + 1, computed independently of the builder.
+        # |F_n| = |F| + (n+1) + n(|I|+1) + 2 + T + 1 with
+        # |I| = |A| + (n+1)|F| + 1, computed independently of the builder:
+        # line n holds only end, so it has ins_n_end and ins_n_nil.
         problem = tiny_problem()
         n = 2
         compiled = compile_synthesis_positive(problem, n)
         f = problem.frame.width
         n_instructions = len(problem.frame.actions) + (n + 1) * f + 1
-        expected = f + (n + 1) + (n + 1) * (n_instructions + 1) + problem.t_total + 1
+        expected = f + (n + 1) + n * (n_instructions + 1) + 2 + problem.t_total + 1
         assert compiled.frame.width == expected
 
     def test_goal_is_exactly_done(self, corridor_task, loop_after_body_program):
@@ -141,6 +150,8 @@ class TestStructure:
             "prog__end__l0__t1", "exec__end__l0__t1",
             "prog__end__l1__t1", "exec__end__l1__t1",
         ]
+        # PN programs end once per line: its programming action needs
+        # nothing of the running instance.
         pn = compile_synthesis_pn(with_neg, 1)
         assert names(pn) == [
             "prog__set_p__l0", "check__set_p__l0", "exec__set_p__l0",
@@ -148,10 +159,10 @@ class TestStructure:
             "prog__goto_0_q__l0", "check__goto_0_q__l0", "exec__goto_0_q__l0",
             "prog__goto_1_p__l0", "check__goto_1_p__l0", "exec__goto_1_p__l0",
             "prog__goto_1_q__l0", "check__goto_1_q__l0", "exec__goto_1_q__l0",
-            "prog__end__l0__t1", "check__end__l0__t1", "exec__end__l0__t1",
-            "prog__end__l0__t2", "check__end__l0__t2", "exec__end__l0__t2",
-            "prog__end__l1__t1", "check__end__l1__t1", "exec__end__l1__t1",
-            "prog__end__l1__t2", "check__end__l1__t2", "exec__end__l1__t2",
+            "prog__end__l0", "check__end__l0__t1", "exec__end__l0__t1",
+            "check__end__l0__t2", "exec__end__l0__t2",
+            "prog__end__l1", "check__end__l1__t1", "exec__end__l1__t1",
+            "check__end__l1__t2", "exec__end__l1__t2",
             "store", "compare", "process", "skip__t1", "skip__t2",
         ]
         # Validation is PN without programming actions: every instance gets
@@ -172,10 +183,10 @@ class TestStructure:
         # sha256 over the fluents, init, goal and every action's name,
         # precondition masks and effect tuples
         assert [digest(c) for c in (positive, pn, validation, validation_neg)] == [
-            "7876c879baced7e3589ac9bae4d6b2bfa1df9e8912845161f53228fa4a7550e0",
-            "0bc4aa8c5dcaf639bfde9087d43f3c95d76f0597488a5ebd78c682695aa5478d",
-            "8adcbe874bff27cad08f1cbe000076b82d6ab10ea7086e57bbf9722c4a725ad5",
-            "6f4e62347f8ca61829b9fd963e9e722e27e8b3b7b8f093619a26a124d7e0e58c",
+            "6f49d1055285dece5d84f6d3e4857f2acb50a7f79cc78d0feaa24821ba57ff1a",
+            "7e2ca2e8cd20465813c95da6dc72de775f6a8b71f4bdc96989710215a7d452d1",
+            "cb6f02f28b75a4a812fd1d44636e7d415531a953ee439b1efe0821607d2cecb9",
+            "4d2c60e7b02d1e2b6fe8ba5fb0129cebff7ca2ba88376255fd71ffa7ea8f3c9a",
         ]
 
     @pytest.mark.parametrize(
@@ -184,7 +195,7 @@ class TestStructure:
             ("done", {"positive", "validation", "pn"}),
             ("pc_0", {"positive", "validation", "pn"}),
             ("test_1", {"positive", "validation", "pn"}),
-            ("ins_0_nil", {"positive", "validation", "pn"}),
+            ("ins_0_nil", {"positive", "pn"}),
             ("checked", {"validation", "pn"}),
             ("negex", {"validation", "pn"}),
         ],
@@ -229,6 +240,44 @@ class TestStructure:
         validation = compile_validation(corridor_task, loop_after_body_program)
         assert validation.frame.has_fluent("negex")
         assert not compile_synthesis_positive(tiny_problem(), 1).frame.has_fluent("negex")
+
+    def test_every_ins_fluent_is_read_and_pn_programs_each_pair_once(self):
+        # A line universe holds only what an action may read there, so no
+        # ins_* fluent is dead weight in a state; and a PN programming
+        # action needs nothing of the running instance, so one per (line,
+        # instruction) pair gives every child.
+        rng = random.Random(1300)
+        for _ in range(100):
+            frame = random_frame(rng, rng.randint(2, 4), rng.randint(1, 3))
+            n = rng.randint(1, 3)
+            labels = [Label.POSITIVE] + [rng.choice(list(Label)) for _ in range(rng.randint(0, 2))]
+            problem = random_generalized_problem(rng, frame, 0, labels)
+            positives = GeneralizedProblem(
+                frame, tuple(inst for inst in problem.instances if inst.is_positive)
+            )
+            pn = compile_synthesis_pn(problem, n)
+            for compiled in (
+                compile_synthesis_positive(positives, n),
+                compile_validation(problem, random_program(rng, frame, n)),
+                pn,
+            ):
+                read = 0
+                for act in compiled.frame.actions:
+                    read |= act.pre[0] | act.pre[1]
+                unread = [
+                    name for f, name in enumerate(compiled.frame.fluents)
+                    if f >= frame.width and name.startswith("ins_") and not read >> f & 1
+                ]
+                assert unread == []
+            programmed = [
+                f"ins_{r.line}_{instruction_slug(r.instruction)}"
+                for r in pn.roles if r.kind == "prog"
+            ]
+            instructions = [
+                name for name in pn.frame.fluents[frame.width:]
+                if name.startswith("ins_") and not name.endswith("_nil")
+            ]
+            assert programmed == instructions
 
     def test_line_n_only_programs_end(self):
         compiled = compile_synthesis_pn(tiny_problem(), 2)
@@ -309,9 +358,11 @@ class TestValidation:
 
 
     def test_validation_is_pn_without_programming_actions(self):
-        # Same fluents; the actions are PN's non-programming actions on the
+        # PN's fluents less the ins_* fluents of instructions the program
+        # does not write (and the nil fluents, which only programming
+        # actions read); the actions are PN's non-programming actions on the
         # program's (line, instruction) pairs plus the gadget and every skip,
-        # with the same masks and in PN's order.
+        # with the same literals and in PN's order.
         rng = random.Random(1100)
         for _ in range(300):
             frame = random_frame(rng, rng.randint(2, 4), rng.randint(1, 3))
@@ -322,16 +373,20 @@ class TestValidation:
             problem = random_generalized_problem(rng, frame, t, labels)
             validation = compile_validation(problem, program)
             pn = compile_synthesis_pn(problem, program.n)
-            assert validation.frame.fluents == pn.frame.fluents
             written = set(enumerate(program.lines))
+            slugs = {f"ins_{i}_{instruction_slug(ins)}" for i, ins in written}
+            assert validation.frame.fluents == tuple(
+                name for name in pn.frame.fluents
+                if not name.startswith("ins_") or name in slugs
+            )
             kept = [
-                act
+                (act, pn.frame)
                 for act, role in zip(pn.frame.actions, pn.roles)
                 if role.line is None
                 or role.kind != "prog" and (role.line, role.instruction) in written
             ]
-            assert [(a.name, a.pre, a.cond) for a in validation.frame.actions] == [
-                (a.name, a.pre, a.cond) for a in kept
+            assert [literals(a, validation.frame) for a in validation.frame.actions] == [
+                literals(a, f) for a, f in kept
             ]
 
     @pytest.mark.parametrize("domain", ["robopainter", "list", "gripper"])
@@ -458,6 +513,28 @@ class TestDecodeProgram:
         assert decoded.program == parse_program("0. paint\n1. goto(0,!at_end)\n2. end\n")
         assert decoded.unprogrammed == (2,)
 
+    def test_pn_end_is_programmed_once_for_every_instance(self):
+        # One prog__end__l1 (a role with no t) writes the end that solves
+        # the positive and that the negative then fails.
+        frame = tiny_frame()
+        pos = ClassicalInstance(frame, "pos", frame.state([]), frame.masks("p"))
+        neg = ClassicalInstance(frame, "neg", frame.state([]), frame.masks("q"), Label.NEGATIVE)
+        problem = GeneralizedProblem(frame, (pos, neg))
+        compiled = compile_synthesis_pn(problem, 1)
+        result = solve(compiled, BFS_CONFIG)
+        assert result.solved
+        roles = [compiled.roles[idx] for idx in result.plan.actions]
+        assert [r.name for r in roles if r.kind == "prog"] == ["prog__set_p__l0", "prog__end__l1"]
+        assert all(r.t is None for r in roles if r.kind == "prog")
+        decoded = decode_program(result.plan.actions, compiled)
+        assert decoded.program == parse_program("0. set_p\n1. end\n")
+        assert decoded.unprogrammed == ()
+        trace = decode_trace(result.plan.actions, compiled)
+        assert [(o.instance_name, o.solved, o.failure) for o in trace] == [
+            ("pos", True, None),
+            ("neg", False, FailureKind.INCOMPLETE),
+        ]
+
     def test_duplicate_programming_is_malformed(self, corridor_task):
         compiled = compile_synthesis_pn(corridor_task, 2)
         idx = next(i for i, r in enumerate(compiled.roles) if r.kind == "prog")
@@ -566,11 +643,10 @@ class TestSynthesisBiconditional:
             universe.append(EndInstruction())
             compiled = compile_synthesis_pn(problem, n)
             for i in range(n):
-                # one programming action per instruction, and one end copy
-                # per instance
+                # one programming action per instruction
                 programmable = [r.instruction for r in compiled.roles
                                 if r.kind == "prog" and r.line == i]
-                assert list(dict.fromkeys(programmable)) == universe
+                assert programmable == universe
             any_passes = any(
                 validate_program(Program((*lines, EndInstruction())), problem).passed
                 for lines in itertools.product(universe, repeat=n)

@@ -336,6 +336,13 @@ class TestContainers:
         with pytest.raises(ModelError):
             GeneralizedProblem(a.frame, (a.instances[0], b.instances[0]))
 
+    def test_generalized_problem_rejects_duplicate_instance_names(self):
+        task = build_task("trisum", [InstanceSpec(1, name="a"), InstanceSpec(2, name="b")])
+        first, second = task.instances
+        twin = ClassicalInstance(task.frame, "a", second.init, second.goal, second.label)
+        with pytest.raises(ModelError, match="'a'"):
+            GeneralizedProblem(task.frame, (first, twin))
+
     def test_counts(self, corridor_task):
         assert corridor_task.t_total == 3
         assert corridor_task.t_positive == 2

@@ -193,8 +193,9 @@ class TestPddl:
 
     def test_export_files(self, corridor_pair, tmp_path):
         domain_path, problem_path = pddl.export_files(
-            corridor_pair.instances[0], tmp_path, "rp2"
+            corridor_pair.frame, corridor_pair.instances[:1], tmp_path
         )
+        assert problem_path.name == f"{corridor_pair.instances[0].name}.pddl"
         assert domain_path.exists() and problem_path.exists()
         domain = read_domain(domain_path.read_text())
         inst = read_problem(problem_path.read_text(), domain)
