@@ -25,6 +25,12 @@ Line ``i``'s universe is what may stand on it, one ``ins_i_*`` fluent each:
 the program's instruction when validating; when synthesizing, the acts and
 gotos the options allow and ``end``, only ``end`` on line ``n``, and ``nil``.
 
+Each compiled instance carries a :class:`DeadEndTest`, built from the same
+``pc``, ``ins``, ``nil`` and ``negex`` masks: a run at a ``goto(j,!f)`` back
+whose ``f`` can never hold, with no line up to it left to write, no ``end``
+and no goto forward below it, never ends. The planner values such a state ∞
+without computing h_add, which would return ∞ there too.
+
 Every action carries a :class:`Role` whose ``kind`` is the action-name prefix
 (``prog``, ``exec``, ``check``, ``store``, ``compare``, ``process``,
 ``skip``); the action name is formatted from the role alone. The builder
@@ -39,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import MalformedPlanError, ModelError, VariantMismatchError
 from .interpreter import FailureKind
@@ -97,8 +103,98 @@ _FLAGS = ("checked", "holds", "stored", "jumped", "loop")
 
 
 @dataclass(frozen=True)
+class DeadEndTest:
+    """An exact dead-end test for a state stuck in a goto that always jumps
+    back. It says "dead" for a state without ``done`` when:
+
+    (a) ``negex`` is false;
+    (b) exactly one ``pc`` bit is set, ``pc_i``;
+    (c) of line ``i``'s ``ins`` and ``nil`` bits exactly one is set, that of
+        a ``goto(j,!f)`` with ``j <= i``;
+    (d) no line ``k < i`` has its ``nil`` bit, its ``end`` bit or the bit of
+        a goto with target ``> k`` set;
+    (e) ``f`` is not in the relaxed closure of the base frame from the
+        state's base bits.
+
+    Then h_add is ∞. Call these literals bad: ``pc_k`` with ``k > i``, an
+    ``ins`` bit of a line ``k <= i``, ``negex``, ``done``, and a base literal
+    outside the closure of (e), which by (e) includes ``f``. None holds in
+    the state. Suppose the relaxed problem adds one, and take the first:
+
+    * an ``ins`` bit of line ``k <= i`` needs a programming action, which
+      needs ``nil_k``. That is false by (c) or (d), and no action adds it;
+    * ``pc_k`` with ``k > i`` needs an execution on a line ``m < k`` with
+      ``pc_m``, so ``m <= i``, and with one of the state's ``ins`` bits of
+      line ``m``. On line ``i`` that is the goto, which falls through only
+      once ``f`` holds and else jumps to ``j <= i``; below ``i`` it is an act,
+      which moves to ``m + 1 <= i``, or a goto back, which moves to
+      ``m + 1`` or to a target ``<= m``;
+    * ``negex``, ``done`` and the restart of an instance come only from
+      executing ``end``, which needs an ``end`` bit on a line ``<= i`` and
+      there is none by (c) and (d), or from ``skip``, which needs ``negex``;
+    * any other base literal comes from a branch of an executed act, which
+      is a branch of its base action, so the closure of (e) holds it.
+
+    So no bad literal is ever added, and ``done`` is unreachable.
+
+    ``negex`` is 0 in positive-only synthesis, and validation has no ``nil``
+    bits. ``lines`` holds, for each line ``i``, ``(pc_i, line i's ins and nil
+    bits, ((goto bit, f bit) of each goto back), the bits of (d))``."""
+
+    base: Frame
+    stop: int  # done | negex
+    lines: tuple[tuple[int, int, tuple[tuple[int, int], ...], int], ...]
+
+    def predicate(self) -> Callable[[int], bool]:
+        """The test as a function of the state bits. It caches the closure
+        of (e) per base state, so take a fresh one for each search."""
+        by_pc = {pc: (line, dict(gotos), below) for pc, line, gotos, below in self.lines}
+        pc_mask = sum(by_pc)
+        stop, base_mask = self.stop, (1 << self.base.width) - 1
+        reach: dict[int, int] = {}
+
+        def dead(bits: int) -> bool:
+            if bits & stop:
+                return False
+            entry = by_pc.get(bits & pc_mask)
+            if entry is None:
+                return False
+            line, gotos, below = entry
+            f = gotos.get(bits & line)
+            if f is None or bits & below:
+                return False
+            base = bits & base_mask
+            closure = reach.get(base)
+            if closure is None:
+                closure = reach[base] = _relaxed_closure(self.base, base)
+            return not closure & f
+
+        return dead
+
+
+def _relaxed_closure(frame: Frame, bits: int) -> int:
+    """The fluents that become true from the state ``bits`` when every
+    action's branches only add their literals (the relaxation of h_add)."""
+    pos, neg = bits, ((1 << frame.width) - 1) & ~bits
+    grown = True
+    while grown:
+        grown = False
+        for act in frame.actions:
+            ppos, pneg = act.pre
+            if ppos & ~pos or pneg & ~neg:
+                continue
+            for cpos, cneg, epos, eneg in act.cond:
+                if cpos & ~pos or cneg & ~neg or not (epos & ~pos or eneg & ~neg):
+                    continue
+                pos, neg, grown = pos | epos, neg | eneg, True
+    return pos
+
+
+@dataclass(frozen=True)
 class CompiledInstance:
-    """Output of a compilation: a classical instance plus decode metadata."""
+    """Output of a compilation: a classical instance plus decode metadata,
+    and the :class:`DeadEndTest` that :func:`gpsyn.planner.solve` runs in
+    front of h_add."""
 
     frame: Frame
     init: int
@@ -108,6 +204,7 @@ class CompiledInstance:
     instance_names: tuple[str, ...]
     labels: tuple[Label, ...]
     roles: tuple[Role, ...]
+    dead_end: DeadEndTest
 
     @property
     def name(self) -> str:
@@ -361,6 +458,21 @@ class _Builder:
             bits |= self.negex
         return bits
 
+    def _dead_end_test(self) -> DeadEndTest:
+        """The masks of :class:`DeadEndTest`, line by line."""
+        lines, below = [], 0
+        for i, universe in enumerate(self.ins):
+            nil = self.nil[i] if self.program is None else 0
+            gotos, exits = [], nil
+            for ins, bit in universe.items():
+                if isinstance(ins, GotoInstruction) and ins.target <= i:
+                    gotos.append((bit, 1 << self.base.fluent_id(ins.fluent)))
+                elif not isinstance(ins, ActInstruction):
+                    exits |= bit  # end, or a goto forward
+            lines.append((self.pc[i], sum(universe.values()) | nil, tuple(gotos), below))
+            below |= exits
+        return DeadEndTest(self.base, self.done | self.negex, tuple(lines))
+
     def build(self) -> CompiledInstance:
         self.build_fluents()
         self._instruction_actions()
@@ -378,6 +490,7 @@ class _Builder:
             instance_names=tuple(inst.name for inst in self.gp.instances),
             labels=tuple(inst.label for inst in self.gp.instances),
             roles=tuple(self.roles),
+            dead_end=self._dead_end_test(),
         )
 
 

@@ -19,12 +19,16 @@ All types are immutable values after construction and safe to share.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 from .errors import ConflictError, ModelError
+
+NAME = re.compile(r"[A-Za-z0-9_-]+")
+"""A fluent or action name; the program text format reads names with it."""
 
 
 @dataclass(frozen=True)
@@ -79,9 +83,9 @@ class Frame:
         for name in self.fluents:
             if name in names:
                 raise ModelError(f"duplicate fluent name {name!r}")
-            if name.startswith("!"):
-                raise ModelError(f"fluent name {name!r} starts with the negation mark '!'")
             names.add(name)
+        _check_names("fluent", self.fluents)
+        _check_names("action", [act.name for act in self.actions])
         width = len(self.fluents)
         seen = set()
         for act in self.actions:
@@ -142,6 +146,15 @@ class Frame:
         for name in true_names:
             bits |= 1 << self.fluent_id(name)
         return bits
+
+
+def _check_names(kind: str, names: Sequence[str]) -> None:
+    if not all(map(NAME.fullmatch, names)):
+        bad = next(name for name in names if not NAME.fullmatch(name))
+        raise ModelError(
+            f"{kind} name {bad!r} is not letters, digits, '_' and '-' "
+            "(a name carries no negation mark '!')"
+        )
 
 
 def _masks(texts: Iterable[str], ids: dict) -> tuple[int, int]:

@@ -12,15 +12,13 @@ from __future__ import annotations
 from pathlib import Path
 
 from .errors import ParseError
-from .model import Frame, bit_ids
+from .model import NAME, Frame, bit_ids
 
 _REQUIREMENTS = (":strips", ":negative-preconditions", ":conditional-effects")
 
-_NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
-
 
 def _check_name(name: str) -> str:
-    if not name or not set(name) <= _NAME_OK or name[0].isdigit():
+    if not NAME.fullmatch(name) or name[0].isdigit():
         raise ParseError(f"name {name!r} is not PDDL-safe")
     return name
 

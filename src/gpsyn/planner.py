@@ -57,7 +57,10 @@ BFS_CONFIG = SearchConfig(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
 @dataclass(frozen=True)
 class SearchStats:
     """``evaluations`` and ``dead_ends`` (pruned at h = ∞) count generated
-    states; the start state is evaluated too, but it is not generated."""
+    states; the start state is evaluated too, but it is not generated. A
+    dead end that a compiled instance's dead-end test decides (a line's goto
+    that always jumps back, see :class:`gpsyn.compiler.DeadEndTest`) counts
+    as one evaluation and one dead end, as if h_add had returned ∞."""
 
     expansions: int
     generated: int
@@ -253,9 +256,12 @@ def h_add(bits: int, problem) -> float:
 def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
     """Search ``problem`` (anything with frame/init/goal) for a plan.
 
-    The configuration only picks the evaluator of the one search loop.
-    Every returned plan is replayed through the strict successor semantics
-    before being handed back.
+    The configuration only picks the evaluator of the one search loop. With
+    h_add, a problem that carries a ``dead_end`` test (compiled instances do,
+    see :class:`gpsyn.compiler.DeadEndTest`) has the states it decides valued
+    ∞ without calling h_add; the test is exact, so h and the search are the
+    same. Every returned plan is replayed through the strict successor
+    semantics before being handed back.
     """
     # Preconditions unpacked once: the search loop tests every action on
     # every expansion.
@@ -265,7 +271,15 @@ def solve(problem, config: SearchConfig = SearchConfig()) -> SolveResult:
         def evaluator(bits: int) -> float:
             return 0
     else:
-        evaluator = _HAdd(problem.frame, problem.goal).value
+        value = _HAdd(problem.frame, problem.goal).value
+        test = getattr(problem, "dead_end", None)
+        if test is None:
+            evaluator = value
+        else:
+            dead = test.predicate()
+
+            def evaluator(bits: int) -> float:
+                return INF if dead(bits) else value(bits)
     result = _search(table, problem.init, problem.goal, evaluator, config, t0)
     if result.solved and not validate_sequential_plan(problem, result.plan.actions):
         raise InternalConsistencyError("search returned a plan that does not validate")

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .errors import ModelError, ParseError
+from .model import NAME
 
 
 @dataclass(frozen=True)
@@ -101,7 +102,7 @@ def format_program(program: Program) -> str:
     return "\n".join(f"{i}. {instruction_text(ins)}" for i, ins in enumerate(program.lines)) + "\n"
 
 
-_GOTO_RE = re.compile(r"^goto\(\s*(\d+)\s*,\s*!\s*([A-Za-z0-9_]+)\s*\)$")
+_GOTO_RE = re.compile(rf"^goto\(\s*(\d+)\s*,\s*!\s*({NAME.pattern})\s*\)$")
 _LINE_RE = re.compile(r"^(\d+)\.\s*(.+)$")
 
 
@@ -134,9 +135,9 @@ def parse_program(text: str) -> Program:
                 raise ParseError(f"line {idx}: goto target {target} beyond last line {n}")
             lines.append(GotoInstruction(target, m.group(2)))
             continue
-        if body.startswith("goto"):
+        if body.startswith("goto("):
             raise ParseError(f"line {idx}: malformed goto {body!r}")
-        if not re.fullmatch(r"[A-Za-z0-9_]+", body):
+        if not NAME.fullmatch(body):
             raise ParseError(f"line {idx}: malformed instruction {body!r}")
         lines.append(ActInstruction(body))
     try:

@@ -192,6 +192,20 @@ class TestSynth:
             "".join(line + "\n" for line in text.splitlines() if not line.startswith("#"))
         )
 
+    def test_hyphenated_names_synthesize_and_validate(self, tmp_path, capsys):
+        # JSON allows '-' in a name; the program text written by synth must
+        # read back in validate.
+        task = tmp_path / "task.json"
+        assert main(["gen", "trisum", "--size", "4", "--count", "3", "--label", "mixed",
+                     "--seed", "7", "--out", str(task)]) == EXIT_OK
+        task.write_text(task.read_text().replace("val_a_", "val-a-"))
+        out = tmp_path / "prog.txt"
+        assert main(["synth", "--problem", str(task), "--lines", "3", "--out", str(out),
+                     "--backward-gotos-only"]) == EXIT_OK
+        assert "!val-a-" in out.read_text()
+        assert main(["validate", "--problem", str(task), "--program", str(out),
+                     "--mode", "both"]) == EXIT_OK
+
 
 class TestValidate:
     @pytest.fixture()

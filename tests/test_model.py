@@ -324,6 +324,14 @@ class TestContainers:
         with pytest.raises(ModelError, match="negation mark"):
             Frame(("!x",), ())
 
+    @pytest.mark.parametrize("name", ["", "a b", "a.b", "goto(0,!x)", "x!"])
+    def test_names_outside_the_name_pattern_are_rejected(self, name):
+        with pytest.raises(ModelError, match="is not letters"):
+            Frame((name,), ())
+        with pytest.raises(ModelError, match="is not letters"):
+            Frame(("x",), (Action(name, (0, 0), ((0, 0, 1, 0),)),))
+        assert Frame(("x-1",), (Action("set-x-1", (0, 0), ((0, 0, 1, 0),)),)).width == 1
+
     def test_frame_rejects_out_of_range_references(self):
         with pytest.raises(ModelError):
             Frame(("x",), (Action("a", (0b10, 0), ()),))

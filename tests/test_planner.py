@@ -1,5 +1,6 @@
 import random
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 
@@ -8,6 +9,7 @@ from gpsyn.errors import ConflictError, ModelError
 from gpsyn.model import (
     ClassicalInstance,
     FrameBuilder,
+    GeneralizedProblem,
     Label,
     holds,
     successor_bits,
@@ -23,7 +25,7 @@ from gpsyn.planner import (
     h_add,
     solve,
 )
-from gpsyn.program import format_program
+from gpsyn.program import format_program, parse_program
 from helpers import (
     random_frame,
     random_generalized_problem,
@@ -32,7 +34,12 @@ from helpers import (
     random_validation_case,
 )
 
-from gpsyn.compiler import compile_synthesis_pn, compile_validation, decode_program
+from gpsyn.compiler import (
+    compile_synthesis_positive,
+    compile_synthesis_pn,
+    compile_validation,
+    decode_program,
+)
 from gpsyn.domains import InstanceSpec, build_task
 
 
@@ -411,3 +418,99 @@ def test_bfs_decides_reachability():
     frame = b.build()
     dead = ClassicalInstance(frame, "d", frame.state([]), frame.masks("x"))
     assert solve(dead, BFS_CONFIG).status is SolveStatus.PROVED_UNSOLVABLE
+
+
+def dead_end_cases(rng):
+    """(variant, compiled): random PN and positive-only synthesis, each with
+    and without forward gotos, and the validation of random programs, whose
+    gotos go both ways."""
+    for _ in range(80):
+        frame = random_frame(rng, rng.randint(2, 4), rng.randint(1, 3))
+        n, forward = rng.randint(1, 3), rng.random() < 0.5
+        labels = [Label.POSITIVE] + [Label.NEGATIVE] * rng.randint(0, 2)
+        problem = random_generalized_problem(rng, frame, 0, labels)
+        yield ("pn", forward), compile_synthesis_pn(problem, n, allow_forward_gotos=forward)
+        problem = random_generalized_problem(rng, frame, 0, [Label.POSITIVE] * rng.randint(1, 2))
+        yield ("positive", forward), compile_synthesis_positive(
+            problem, n, allow_forward_gotos=forward
+        )
+    for _ in range(100):
+        program, problem, _ = random_validation_case(rng)
+        yield ("validation", None), compile_validation(problem, program)
+    # A chain f0 -> f3 whose actions stand in reverse order, so the base
+    # closure needs one pass over the actions per link. The loop reaches its
+    # goto with f0 and f1 true, and f3 is reachable.
+    b = FrameBuilder()
+    for k in range(4):
+        b.fluent(f"f{k}")
+    for k in (2, 1, 0):
+        b.action(f"s{k}", cond=[([f"f{k}"], [f"f{k + 1}"])])
+    frame = b.build()
+    chain = GeneralizedProblem(frame, (ClassicalInstance(frame, "t", 1, frame.masks("f3")),))
+    program = parse_program("0. s2\n1. s1\n2. s0\n3. goto(0,!f3)\n4. end\n")
+    yield ("chain", None), compile_validation(chain, program)
+
+
+def unread_bits(compiled, state):
+    """The compiled bits that the dead-end test does not read at ``state``,
+    where exactly one ``pc`` bit is set: the instance counters, the loop
+    gadget and the lines after the running one."""
+    ids = compiled.frame.fluent_id
+    i = next(k for k in range(compiled.lines + 1) if state >> ids(f"pc_{k}") & 1)
+    mask = 0
+    for f in range(compiled.dead_end.base.width, compiled.frame.width):
+        kind, _, rest = compiled.frame.fluents[f].partition("_")
+        read = int(rest.split("_")[0]) <= i if kind == "ins" else kind in ("pc", "done", "negex")
+        if not read:
+            mask |= 1 << f
+    return mask
+
+
+class TestDeadEndTest:
+    def test_fires_only_where_h_add_is_infinite(self):
+        # At BFS-reachable states; where the test fires, also at every state
+        # one read bit away, and twice with the bits it does not read drawn
+        # at random, which must not change its answer.
+        rng = random.Random(47)
+        fired = Counter()
+        for key, compiled in dead_end_cases(rng):
+            dead = compiled.dead_end.predicate()
+            heuristic = planner._HAdd(compiled.frame, compiled.goal)
+            for state in bfs_states(compiled, 40):
+                if not dead(state):
+                    continue
+                assert heuristic.value(state) == INF
+                fired[key] += 1
+                unread = unread_bits(compiled, state)
+                for f in range(compiled.frame.width):
+                    neighbour = state ^ 1 << f
+                    if not unread >> f & 1 and dead(neighbour):
+                        assert heuristic.value(neighbour) == INF
+                        fired["neighbour"] += 1
+                for _ in range(2):
+                    mutant = state ^ (rng.getrandbits(compiled.frame.width) & unread)
+                    assert dead(mutant) and heuristic.value(mutant) == INF
+        keys = [(v, f) for v in ("pn", "positive") for f in (False, True)]
+        for key in keys + [("validation", None), "neighbour"]:
+            assert fired[key], (key, fired)
+
+    def test_skips_h_add_during_gbfs_on_robopainter(self, monkeypatch):
+        # A small criterion-6 task: GBFS evaluates fewer states with h_add
+        # than it counts, and the search is the one h_add alone makes.
+        task = build_task("robopainter", [InstanceSpec(2), InstanceSpec(1, Label.NEGATIVE)])
+        compiled = compile_synthesis_pn(task, 3, allow_forward_gotos=False)
+        alone = solve(replace(compiled, dead_end=None), SearchConfig()).stats
+        calls = Counter()
+        value = planner._HAdd.value
+
+        def counted(self, bits):
+            calls["h_add"] += 1
+            return value(self, bits)
+
+        monkeypatch.setattr(planner._HAdd, "value", counted)
+        stats = solve(compiled, SearchConfig()).stats
+        assert (stats.expansions, stats.generated, stats.evaluations, stats.dead_ends) == (
+            alone.expansions, alone.generated, alone.evaluations, alone.dead_ends
+        )
+        decided = 1 + stats.evaluations - calls["h_add"]  # the start state is evaluated too
+        assert 0 < decided <= stats.dead_ends

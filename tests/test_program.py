@@ -37,6 +37,23 @@ def test_roundtrip_is_identity():
         assert parse_program(format_program(prog)) == prog
 
 
+def test_roundtrip_keeps_every_name():
+    # '-' is a name character, and an action may be named like goto_room
+    prog = Program(
+        (ActInstruction("add-b-to-a"), ActInstruction("goto_room"),
+         GotoInstruction(0, "val-a-10"), EndInstruction())
+    )
+    text = format_program(prog)
+    assert text == "0. add-b-to-a\n1. goto_room\n2. goto(0,!val-a-10)\n3. end\n"
+    assert parse_program(text) == prog
+
+
+@pytest.mark.parametrize("body", ["a.b", "goto(0,!a.b)", "a(b)", "goto(0,!)"])
+def test_rejects_names_outside_the_name_pattern(body):
+    with pytest.raises(ParseError):
+        parse_program(f"0. {body}\n1. end\n")
+
+
 def test_rejects_noncontiguous_indices():
     with pytest.raises(ParseError):
         parse_program("0. paint\n2. end\n")

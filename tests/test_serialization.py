@@ -121,6 +121,20 @@ class TestJson:
         with pytest.raises(ParseError, match="5 is not a str"):
             jsonio.problem_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda d: d["frame"]["fluents"].append("r s"),
+            lambda d: d["frame"]["actions"][0].update(name="a(1)"),
+        ],
+        ids=["fluent", "action"],
+    )
+    def test_name_outside_the_name_pattern_raises_parse_error(self, edit):
+        doc = _two_fluent_doc()
+        edit(doc)
+        with pytest.raises(ParseError, match="is not letters"):
+            jsonio.problem_from_dict(doc)
+
     def test_missing_file_raises_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             jsonio.load_problem(tmp_path / "nope.json")
