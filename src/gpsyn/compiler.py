@@ -36,7 +36,9 @@ Every action carries a :class:`Role` whose ``kind`` is the action-name prefix
 ``skip``); the action name is formatted from the role alone. The builder
 holds every compiled fluent as its bit and writes each effect as a
 ``(cond.pos, cond.neg, eff.pos, eff.neg)`` mask tuple and each precondition,
-like the ``(done, 0)`` goal, as a ``(pos, neg)`` mask pair. Base fluents keep
+like the ``(done, 0)`` goal, as a ``(pos, neg)`` mask pair. A goto executes
+as the interpreter's two-way branch: one effect moves ``pc`` to the next line
+when ``f`` holds, the other to the target when it does not. Base fluents keep
 their ids, so the planner runs on compiled instances directly and solution
 plans decode back into programs and per-instance outcomes.
 """
@@ -227,7 +229,6 @@ class DecodedProgram:
 class TraceOutcome:
     """Per-instance result reconstructed from a solution plan."""
 
-    t: int
     instance_name: str
     solved: bool
     failure: FailureKind | None = None
@@ -369,22 +370,14 @@ class _Builder:
             move = (0, 0, self.pc[i + 1], self.pc[i] | unchecked | jumped)
             cond = self.base.action(ins.action).cond + (move,)
         elif isinstance(ins, GotoInstruction):
+            # The interpreter's ``pc + 1 if f else target``. Every loop of a
+            # run takes a jump to the same or an earlier line, and only such a
+            # jump sets ``jumped``: the gadget stores and compares only the
+            # state it reaches.
             f = 1 << self.base.fluent_id(ins.fluent)
-            # Every loop of a run takes a jump to the same or an earlier line,
-            # and only such a jump sets ``jumped``: the gadget stores and
-            # compares only the state it reaches.
-            if ins.target == i:
-                # Self-jump: a false condition leaves the program state unchanged.
-                cond = [(f, 0, self.pc[i + 1], self.pc[i] | unchecked | jumped)]
-                if jumped:
-                    cond.append((0, f, jumped, unchecked))
-            else:
-                back = jumped if ins.target < i else 0
-                cond = [
-                    (0, 0, 0, self.pc[i] | unchecked),
-                    (f, 0, self.pc[i + 1], jumped),
-                    (0, f, self.pc[ins.target] | back, jumped & ~back),
-                ]
+            step = self.pc[i] | unchecked | jumped
+            to = self.pc[ins.target] | (jumped if ins.target <= i else 0)
+            cond = [(f, 0, self.pc[i + 1], step), (0, f, to, step & ~to)]
         else:
             neg |= self.negex
             cond = [(0, 0, *self._end_effects(t))]
@@ -587,9 +580,7 @@ def decode_trace(plan: Sequence[int], compiled: CompiledInstance) -> tuple[Trace
         if role.kind == "exec" and isinstance(role.instruction, EndInstruction):
             if role.t != t:
                 raise MalformedPlanError(f"end for instance {role.t} while running {t}")
-            outcomes.append(
-                TraceOutcome(t, compiled.instance_names[t - 1], solved=True)
-            )
+            outcomes.append(TraceOutcome(compiled.instance_names[t - 1], solved=True))
             t += 1
         elif role.kind == "skip":
             if role.t != t:
@@ -607,13 +598,12 @@ def decode_trace(plan: Sequence[int], compiled: CompiledInstance) -> tuple[Trace
 def _failure_from(prev: Role | None, t: int, compiled: CompiledInstance) -> TraceOutcome:
     name = compiled.instance_names[t - 1]
     if prev is not None and prev.kind == "process":
-        return TraceOutcome(t, name, solved=False, failure=FailureKind.INFINITE_LOOP)
+        return TraceOutcome(name, solved=False, failure=FailureKind.INFINITE_LOOP)
     if prev is not None and prev.kind == "check":
         if isinstance(prev.instruction, EndInstruction):
-            return TraceOutcome(t, name, solved=False, failure=FailureKind.INCOMPLETE)
+            return TraceOutcome(name, solved=False, failure=FailureKind.INCOMPLETE)
         if isinstance(prev.instruction, ActInstruction):
             return TraceOutcome(
-                t,
                 name,
                 solved=False,
                 failure=FailureKind.INAPPLICABLE,

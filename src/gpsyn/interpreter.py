@@ -44,8 +44,9 @@ class ExecutionOutcome:
 
     Exactly one of: solved, or failed with a :class:`FailureKind`. For
     inapplicable actions, ``line``/``action`` identify the offender; for
-    infinite loops, ``repeat_step``/``repeat_state`` record the first program
-    state that recurred (replaying from it reproduces the cycle).
+    infinite loops, ``repeat_state`` is the first program state that recurred,
+    reached again after ``steps`` steps (replaying from it reproduces the
+    cycle).
     """
 
     solved: bool
@@ -53,7 +54,6 @@ class ExecutionOutcome:
     failure: FailureKind | None = None
     line: int | None = None
     action: str | None = None
-    repeat_step: int | None = None
     repeat_state: ProgramState | None = None
 
     def describe(self) -> str:
@@ -63,7 +63,7 @@ class ExecutionOutcome:
             return "failed: goal not satisfied at end"
         if self.failure is FailureKind.INAPPLICABLE:
             return f"failed: action {self.action!r} inapplicable at line {self.line}"
-        return f"failed: infinite loop (program state repeated at step {self.repeat_step})"
+        return f"failed: infinite loop (program state repeated at step {self.steps})"
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,6 @@ def execute(
                 solved=False,
                 steps=steps,
                 failure=FailureKind.INFINITE_LOOP,
-                repeat_step=steps,
                 repeat_state=ProgramState(bits, pc),
             )
         if len(seen) >= state_cap:

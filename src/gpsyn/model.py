@@ -91,6 +91,11 @@ class Frame:
         for act in self.actions:
             if act.name in seen:
                 raise ModelError(f"duplicate action name {act.name!r}")
+            if act.name in ("end", "nil"):
+                raise ModelError(
+                    f"action name {act.name!r} is reserved: a program line reads 'end' as "
+                    "the end instruction, and the compiler names an empty line 'nil'"
+                )
             seen.add(act.name)
             masks = list(act.pre)
             for branch in act.cond:

@@ -74,7 +74,6 @@ class Plan:
     """Action index sequence into ``problem.frame.actions``."""
 
     actions: tuple[int, ...]
-    stats: SearchStats
 
 
 class SolveStatus(Enum):
@@ -307,7 +306,7 @@ def _finish(status, t0, counts=(0, 0, 0, 0), parents=None, goal_bits=None):
     while parents[goal_bits] is not None:
         goal_bits, idx = parents[goal_bits]
         actions.append(idx)
-    return SolveResult(status, Plan(tuple(reversed(actions)), stats), stats)
+    return SolveResult(status, Plan(tuple(reversed(actions))), stats)
 
 
 def _search(table, start_bits, goal, evaluator, config, t0) -> SolveResult:

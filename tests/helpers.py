@@ -190,6 +190,4 @@ def reference_run(program: Program, instance: ClassicalInstance) -> ExecutionOut
             )
         ps, steps = nxt, steps + 1
         if ps in seen:
-            return ExecutionOutcome(
-                False, steps, FailureKind.INFINITE_LOOP, repeat_step=steps, repeat_state=ps
-            )
+            return ExecutionOutcome(False, steps, FailureKind.INFINITE_LOOP, repeat_state=ps)

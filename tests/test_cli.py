@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import gpsyn
 from gpsyn import cli, evaluation, interpreter, jsonio
 from gpsyn.cli import (
     EXIT_EXHAUSTED,
+    EXIT_INCONSISTENT,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_UNSOLVABLE,
@@ -18,9 +20,9 @@ from gpsyn.cli import (
     main,
 )
 from gpsyn.domains import InstanceSpec, build_task
-from gpsyn.interpreter import validate_program
+from gpsyn.interpreter import FailureKind, validate_program
 from gpsyn.model import Label
-from gpsyn.program import parse_program
+from gpsyn.program import format_program, parse_program
 from helpers import pn_counterexample
 
 
@@ -178,6 +180,17 @@ class TestSynth:
         assert code == EXIT_PARSE
         assert "GPSYN_PLANNER_BUDGET" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["end", "nil"])
+    def test_reserved_action_name_is_parse_error(self, name, tmp_path, capsys):
+        path = tmp_path / "reserved.json"
+        path.write_text(json.dumps({
+            "frame": {"fluents": ["f"], "actions": [{"name": name, "effects": [{"then": ["f"]}]}]},
+            "instances": [{"name": "i", "init": [], "goal": ["f"]}],
+        }))
+        argv = ["synth", "--problem", str(path), "--lines", "1", "--out", str(tmp_path / "p")]
+        assert main(argv) == EXIT_PARSE
+        assert f"action name '{name}' is reserved" in capsys.readouterr().err
+
     def test_missing_problem_file(self, tmp_path):
         code = main(["synth", "--problem", str(tmp_path / "nope.json"),
                      "--lines", "2", "--out", str(tmp_path / "p.txt")])
@@ -322,6 +335,26 @@ class TestValidate:
         args = _build_parser().parse_args(["validate", "--problem", "p", "--program", "q"])
         config = _search_config(args)
         assert config.max_expansions is None and config.max_seconds == 600.0
+
+    def test_rows_differing_only_in_line_disagree(self, tmp_path, monkeypatch, capsys):
+        # The negative fails on line 1 in both modes; shift the compiled line.
+        problem, program = pn_counterexample()
+        path, prog = tmp_path / "pn.json", tmp_path / "p.txt"
+        jsonio.dump_problem(problem, path)
+        prog.write_text(format_program(program))
+        argv = ["validate", "--problem", str(path), "--program", str(prog), "--mode", "both"]
+        assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        decode_trace = cli.decode_trace
+
+        def shifted(plan, compiled):
+            *head, last = decode_trace(plan, compiled)
+            assert (last.failure, last.line) == (FailureKind.INAPPLICABLE, 1)
+            return (*head, dataclasses.replace(last, line=0))
+
+        monkeypatch.setattr(cli, "decode_trace", shifted)
+        assert main(argv) == EXIT_INCONSISTENT
+        assert "direct and compiled validation disagree" in capsys.readouterr().err
 
     def test_mode_disagreement_is_internal_error(self, corridor_files, monkeypatch):
         from gpsyn import cli as cli_mod

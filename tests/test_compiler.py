@@ -35,6 +35,7 @@ from helpers import (
     random_frame,
     random_generalized_problem,
     random_program,
+    random_state,
     random_validation_case,
 )
 
@@ -183,8 +184,8 @@ class TestStructure:
         # sha256 over the fluents, init, goal and every action's name,
         # precondition masks and effect tuples
         assert [digest(c) for c in (positive, pn, validation, validation_neg)] == [
-            "6f49d1055285dece5d84f6d3e4857f2acb50a7f79cc78d0feaa24821ba57ff1a",
-            "7e2ca2e8cd20465813c95da6dc72de775f6a8b71f4bdc96989710215a7d452d1",
+            "3e12fa9e18080b232b5e94b4520487792e3d6676d9da97906a1f67e9687293bd",
+            "39fb80abdaea3f43b086107b26d9f5eb27e1a1e1d1099f9f03a52526bdfa5f27",
             "cb6f02f28b75a4a812fd1d44636e7d415531a953ee439b1efe0821607d2cecb9",
             "4d2c60e7b02d1e2b6fe8ba5fb0129cebff7ca2ba88376255fd71ffa7ea8f3c9a",
         ]
@@ -278,6 +279,37 @@ class TestStructure:
                 if name.startswith("ins_") and not name.endswith("_nil")
             ]
             assert programmed == instructions
+
+    def test_goto_execution_is_the_interpreters_two_way_branch(self):
+        # pc := i + 1 if f else target, for every variant and target direction.
+        rng = random.Random(23)
+        directions = {variant: set() for variant in ("positive", "pn", "validation")}
+        for _ in range(25):
+            frame = random_frame(rng, rng.randint(1, 4), rng.randint(1, 2))
+            problem = random_generalized_problem(rng, frame, 2, [Label.POSITIVE, Label.NEGATIVE])
+            positive = GeneralizedProblem(frame, problem.instances[:1])
+            n = rng.randint(1, 3)
+            compilations = {
+                "positive": compile_synthesis_positive(positive, n),
+                "pn": compile_synthesis_pn(problem, n),
+                "validation": compile_validation(problem, random_program(rng, frame, n)),
+            }
+            for variant, compiled in compilations.items():
+                table = compiled.frame
+                pc = [1 << table.fluent_id(f"pc_{i}") for i in range(compiled.lines + 1)]
+                pcs = sum(pc)
+                for act, role in zip(table.actions, compiled.roles):
+                    ins, i = role.instruction, role.line
+                    if role.kind != "exec" or not isinstance(ins, GotoInstruction):
+                        continue
+                    assert len(act.cond) == 2, act.name
+                    directions[variant].add((ins.target > i) - (ins.target < i))
+                    f = 1 << table.fluent_id(ins.fluent)
+                    for _ in range(8):
+                        bits = (random_state(rng, table) & ~pcs | act.pre[0]) & ~act.pre[1]
+                        want = i + 1 if bits & f else ins.target
+                        assert successor_bits(bits, act) & pcs == pc[want], act.name
+        assert all(seen == {-1, 0, 1} for seen in directions.values()), directions
 
     def test_line_n_only_programs_end(self):
         compiled = compile_synthesis_pn(tiny_problem(), 2)

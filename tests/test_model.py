@@ -332,6 +332,14 @@ class TestContainers:
             Frame(("x",), (Action(name, (0, 0), ((0, 0, 1, 0),)),))
         assert Frame(("x-1",), (Action("set-x-1", (0, 0), ((0, 0, 1, 0),)),)).width == 1
 
+    @pytest.mark.parametrize("name", ["end", "nil"])
+    def test_frame_rejects_reserved_action_names(self, name):
+        # A program line "end" is the end instruction, and the compiler names
+        # line i's empty-line fluent ins_i_nil next to ins_i_<action>.
+        with pytest.raises(ModelError, match=f"action name '{name}' is reserved"):
+            Frame(("x",), (Action(name, (0, 0), ((0, 0, 1, 0),)),))
+        assert Frame(("x",), (Action(name + "s", (0, 0), ((0, 0, 1, 0),)),)).width == 1
+
     def test_frame_rejects_out_of_range_references(self):
         with pytest.raises(ModelError):
             Frame(("x",), (Action("a", (0b10, 0), ()),))
