@@ -115,12 +115,17 @@ def _solve(instance, config: SearchConfig):
     return result
 
 
-def _load_program(path):
+def _load_program(path, frame):
+    """The program at ``path``, with its names checked against ``frame``
+    before any instance runs: a problem with no instances still rejects an
+    unknown action or fluent."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ParseError(f"cannot read program file {path}: {exc}") from exc
-    return parse_program(text)
+    program = parse_program(text)
+    program.check_against(frame)
+    return program
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -279,7 +284,7 @@ def _compiled_outcomes(program, problem, args):
 
 def _cmd_validate(args) -> int:
     problem = jsonio.load_problem(args.problem)
-    program = _load_program(args.program)
+    program = _load_program(args.program, problem.frame)
     payload: dict = {"mode": args.mode}
     if args.mode in ("direct", "both"):
         passed, outcomes = _direct_outcomes(program, problem)
@@ -310,7 +315,7 @@ def _cmd_validate(args) -> int:
 def _cmd_eval(args) -> int:
     started = time.time()
     test_set = jsonio.load_problem(args.testset)
-    program = _load_program(args.program)
+    program = _load_program(args.program, test_set.frame)
     report = evaluate_test_set(program, test_set)
     records = [
         {
@@ -359,7 +364,7 @@ def _cmd_export(args) -> int:
         if args.variant == "validation":
             if not args.program:
                 raise ParseError("--variant validation requires --program")
-            compiled = compile_validation(problem, _load_program(args.program))
+            compiled = compile_validation(problem, _load_program(args.program, problem.frame))
         elif args.variant == "synth-pos":
             compiled = compile_synthesis_positive(problem, args.lines)
         else:

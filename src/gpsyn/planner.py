@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -98,87 +98,133 @@ class _HAdd:
     conditional effects split into one relaxed operator per effect branch
     whose precondition is the action's precondition ∪ the branch condition.
 
-    Unmet literals are counted once per action for its precondition, and per
-    branch for its condition literals outside the precondition plus one gate
-    token. When an action's count reaches 0, ``precost`` = Σ cost(pre) is
-    summed once and the gate token comes off each of its branches. A branch
-    fires at 1 + precost + Σ cost(cond ∖ pre), i.e. 1 + Σ cost(pre ∪ cond),
-    so a literal in both counts once. Costs are integers, so ``value``
-    settles literals in increasing cost through one list per cost (Dial's
-    buckets) rather than a binary heap.
+    Unmet literals are counted once per action for its precondition. When
+    an action's count reaches 0, ``precost`` = Σ cost(pre) is summed once.
+    A branch with no condition literal outside the precondition fires with
+    its action: such adds are merged into one list per action, which fires
+    at 1 + precost. Every other branch counts its condition literals
+    outside the precondition plus one gate token, which comes off when its
+    action's count reaches 0. It fires at 1 + precost + Σ cost(cond ∖ pre),
+    i.e. 1 + Σ cost(pre ∪ cond), so a literal in both counts once.
 
-    The object is stateful: it keeps the counts and costs of the last state
+    Where two or more actions share their precondition minus its rarest
+    literal (the one the fewest actions read), that rest is one node: a
+    derived literal with its own count, which holds when the rest does and
+    costs Σ cost(rest). The actions read it in place of the rest, so the
+    rest is counted down once and every sum stays the same.
+
+    Costs are integers, so ``value`` settles literals in increasing cost
+    through one list per cost (Dial's buckets), and visits only the costs
+    that hold a literal. What a literal of cost c completes costs at least
+    c (a node, which joins the level being settled or a later one) or
+    c + 1 (an added literal), so no level is passed over.
+
+    The object is stateful. It keeps the counts and costs of the last state
     it evaluated (at first the all-false state), with the state's own
-    literals at cost 0 and already counted. A new state patches them only at
-    the fluents where the two states differ, and ``value`` propagates on a
-    copy. So one instance serves one search at a time; :func:`h_add` builds
-    a fresh one per call."""
+    literals at cost 0 and already counted, and the sets of actions and
+    branches whose count is 0 there: what they add costs 1, and a counted
+    branch of a ready action fires later at 1 + Σ cost(cond ∖ pre). A new
+    state patches all of it only at the fluents where the two states differ,
+    and ``value`` propagates on a copy. None of this changes h: each value
+    is the one a naive fixpoint over the relaxed operators gives. One
+    instance serves one search at a time; :func:`h_add` builds a fresh one
+    per call."""
 
     def __init__(self, frame, goal):
         self.bits = 0
-        self.cost = [INF, 0] * frame.width  # literal 2f: f holds, 2f + 1: it does not
-        act_pre, act_unsat, act_branches = [], [], []
+        acts = [act for act in frame.actions if act.cond]  # no branch, nothing to fire
+        pres = [_lits(*act.pre) for act in acts]
+        readers = Counter(p for pre in pres for p in pre)
+        rarest = [min(pre, key=readers.__getitem__, default=None) for pre in pres]
+        rests = [tuple(p for p in pre if p != r) for pre, r in zip(pres, rarest)]
+        shared = Counter(rest for rest in rests if len(rest) > 1)
+        # literal 2f: f holds, 2f + 1: it does not; then one per node
+        node_rest = {
+            2 * frame.width + n: rest
+            for n, rest in enumerate(rest for rest, k in shared.items() if k > 1)
+        }
+        node_of = {rest: q for q, rest in node_rest.items()}
+        # A node's cost is read only once its count is 0, so it stays 0 here
+        # and value() sets it when the node is reached.
+        cost = [INF, 0] * frame.width + [0] * len(node_rest)
+        node_consumers, act_consumers, br_consumers = ([[] for _ in cost] for _ in range(3))
+        for q, rest in node_rest.items():
+            for p in rest:
+                node_consumers[p].append(q)
+        # counts at the all-false state, where every positive literal is unmet
+        unmet = [True, False] * frame.width
+        is_unmet = unmet.__getitem__
+        node_unsat = {q: sum(map(is_unmet, rest)) for q, rest in node_rest.items()}
+        unmet += [k != 0 for k in node_unsat.values()]
+        act_pre, act_unsat, act_add, act_branches = [], [], [], []
         br_act, br_cond, br_add, br_unsat = [], [], [], []
-        act_consumers = [[] for _ in self.cost]
-        br_consumers = [[] for _ in self.cost]
-        for act in frame.actions:
-            if not act.cond:
-                continue  # no branch, nothing to fire
-            a = len(act_pre)
-            ppos, pneg = act.pre
-            pre = _lits(ppos, pneg)
+        for a, (act, pre, r, rest) in enumerate(zip(acts, pres, rarest, rests)):
+            if rest in node_of:
+                pre = [r, node_of[rest]]
             for p in pre:
                 act_consumers[p].append(a)
-            # counts at the all-false state, where every negative literal
-            # holds; a branch's gate is on while its action's count is not 0
             act_pre.append(pre)
-            act_unsat.append(ppos.bit_count())
-            b = len(br_act)
-            act_branches.append(list(range(b, b + len(act.cond))))
+            act_unsat.append(sum(map(is_unmet, pre)))
+            ppos, pneg = act.pre
+            adds, branches = [], []
             for cpos, cneg, epos, eneg in act.cond:
-                cpos &= ~ppos
-                cneg &= ~pneg
-                cond = _lits(cpos, cneg)
+                cond = _lits(cpos & ~ppos, cneg & ~pneg)
+                if not cond:
+                    adds += _lits(epos, eneg)
+                    continue
+                b = len(br_act)
                 for p in cond:
                     br_consumers[p].append(b)
+                branches.append(b)
                 br_act.append(a)
                 br_cond.append(cond)
                 br_add.append(_lits(epos, eneg))
-                br_unsat.append(cpos.bit_count() + (ppos != 0))
-                b += 1
-        self.act_pre, self.act_unsat, self.act_branches = act_pre, act_unsat, act_branches
-        self.br_act, self.br_cond, self.br_add, self.br_unsat = br_act, br_cond, br_add, br_unsat
-        self.act_consumers, self.br_consumers = act_consumers, br_consumers
+                # a branch's gate is on while its action's count is not 0
+                br_unsat.append(sum(map(is_unmet, cond)) + (act_unsat[a] != 0))
+            act_add.append(adds)
+            act_branches.append(branches)
+        self.cost = cost
+        self.node_rest, self.node_unsat, self.node_consumers = node_rest, node_unsat, node_consumers
+        self.act_pre, self.act_unsat, self.act_add = act_pre, act_unsat, act_add
+        self.act_branches, self.act_consumers = act_branches, act_consumers
+        self.br_act, self.br_cond, self.br_add = br_act, br_cond, br_add
+        self.br_unsat, self.br_consumers = br_unsat, br_consumers
+        self.act_ready = {a for a, k in enumerate(act_unsat) if not k}
+        self.br_ready = {b for b, k in enumerate(br_unsat) if not k}
         self.goal = goal
         self.goal_lits = _lits(*goal)
         self.goal_set = frozenset(self.goal_lits)
 
     def _move_to(self, bits: int) -> None:
-        """Patch the counts and costs of the last state into those of
-        ``bits``, one changed fluent at a time."""
-        cost, act_unsat, br_unsat = self.cost, self.act_unsat, self.br_unsat
-        act_branches, act_consumers, br_consumers = (
-            self.act_branches, self.act_consumers, self.br_consumers
-        )
+        """Patch the counts, costs and ready sets of the last state into
+        those of ``bits``, one layer at a time: nodes, actions, branches."""
+        cost, act_consumers = self.cost, self.act_consumers
+        node_up, node_down, act_up, act_down, br_up, br_down = [], [], [], [], [], []
         for f in bit_ids(bits ^ self.bits):
             now = 2 * f + (not bits >> f & 1)
             old = now ^ 1
             cost[now], cost[old] = 0, INF
-            for b in br_consumers[old]:
-                br_unsat[b] += 1
-            for b in br_consumers[now]:
-                br_unsat[b] -= 1
-            for a in act_consumers[old]:
-                if not act_unsat[a]:
-                    for b in act_branches[a]:
-                        br_unsat[b] += 1  # the gate goes back on
-                act_unsat[a] += 1
-            for a in act_consumers[now]:
-                n = act_unsat[a] - 1
-                act_unsat[a] = n
-                if not n:
-                    for b in act_branches[a]:
-                        br_unsat[b] -= 1
+            node_up += self.node_consumers[old]
+            node_down += self.node_consumers[now]
+            act_up += act_consumers[old]
+            act_down += act_consumers[now]
+            br_up += self.br_consumers[old]
+            br_down += self.br_consumers[now]
+        left, reached = _shift(self.node_unsat, node_up, node_down)
+        for q in left:
+            act_up += act_consumers[q]
+        for q in reached:
+            act_down += act_consumers[q]
+        left, reached = _shift(self.act_unsat, act_up, act_down)
+        for a in left:
+            br_up += self.act_branches[a]  # the gate goes back on
+        for a in reached:
+            br_down += self.act_branches[a]
+        self.act_ready.difference_update(left)
+        self.act_ready.update(reached)
+        left, reached = _shift(self.br_unsat, br_up, br_down)
+        self.br_ready.difference_update(left)
+        self.br_ready.update(reached)
         self.bits = bits
 
     def value(self, bits: int) -> float:
@@ -188,41 +234,54 @@ class _HAdd:
             return 0
         self._move_to(bits)
         cost = self.cost[:]
+        node_unsat = self.node_unsat.copy()
         act_unsat = self.act_unsat[:]
         br_unsat = self.br_unsat[:]
-        act_pre, act_branches, act_consumers = (
-            self.act_pre, self.act_branches, self.act_consumers
+        node_rest, node_consumers = self.node_rest, self.node_consumers
+        act_pre, act_add, act_branches, act_consumers = (
+            self.act_pre, self.act_add, self.act_branches, self.act_consumers
         )
         br_act, br_cond, br_add, br_consumers = (
             self.br_act, self.br_cond, self.br_add, self.br_consumers
         )
         goal_set = self.goal_set
         get_cost = cost.__getitem__
-        # Branches whose literals all hold fire at cost 1, with precost 0.
-        precost = [0] * len(act_pre)
-        buckets = {1: []}
-        b = -1
-        for _ in range(br_unsat.count(0)):
-            b = br_unsat.index(0, b + 1)
-            for q in br_add[b]:
+        # What the ready actions and branches add costs 1.
+        level = []
+        for adds in [act_add[a] for a in self.act_ready] + [br_add[b] for b in self.br_ready]:
+            for q in adds:
                 if cost[q] > 1:
                     cost[q] = 1
-                    buckets[1].append(q)
-        c = 1
+                    level.append(q)
+        buckets = {1: level}
+        precost = [0] * len(act_pre)  # 0 for an action ready at the start
         while buckets:
-            for p in buckets.pop(c, ()):
+            c = min(buckets)
+            for p in buckets[c]:  # a node may join this level while it runs
                 if cost[p] != c:
                     continue  # stale: settled earlier at a lower cost
                 if p in goal_set:
                     goal_left -= 1
                     if not goal_left:
                         return sum(map(get_cost, self.goal_lits))
+                for q in node_consumers[p]:
+                    n = node_unsat[q] - 1
+                    node_unsat[q] = n
+                    if not n:
+                        oc = sum(map(get_cost, node_rest[q]))
+                        cost[q] = oc
+                        buckets.setdefault(oc, []).append(q)
                 branches = br_consumers[p]
                 for a in act_consumers[p]:
                     n = act_unsat[a] - 1
                     act_unsat[a] = n
                     if not n:
                         precost[a] = sum(map(get_cost, act_pre[a]))
+                        oc = 1 + precost[a]
+                        for q in act_add[a]:
+                            if oc < cost[q]:
+                                cost[q] = oc
+                                buckets.setdefault(oc, []).append(q)
                         branches = branches + act_branches[a]  # their gate tokens
                 for b in branches:
                     n = br_unsat[b] - 1
@@ -233,8 +292,27 @@ class _HAdd:
                             if oc < cost[q]:
                                 cost[q] = oc
                                 buckets.setdefault(oc, []).append(q)
-            c += 1
+            del buckets[c]
         return INF
+
+
+def _shift(unsat, up: list[int], down: list[int]) -> tuple[list[int], list[int]]:
+    """Add one to the count ``unsat[i]`` (a list or a dict) for each i in
+    ``up``, then take one off for each i in ``down``, so no count passes
+    below 0 on the way. Returns the indices whose count left 0 and those
+    whose count reached 0. One index may be in both: it ends at 0 if it is
+    in the second, above 0 if it is only in the first."""
+    left, reached = [], []
+    for i in up:
+        if not unsat[i]:
+            left.append(i)
+        unsat[i] += 1
+    for i in down:
+        k = unsat[i] - 1
+        unsat[i] = k
+        if not k:
+            reached.append(i)
+    return left, reached
 
 
 def _lits(pos: int, neg: int) -> list[int]:

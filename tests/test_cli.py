@@ -382,6 +382,30 @@ def test_interpreter_state_cap_is_exhaustion(command, trisum_problem, tmp_path,
     assert "visited-state cap 2 exceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["validate", "--mode", "direct"],
+    ["validate", "--mode", "compiled"],
+    ["validate", "--mode", "both"],
+    ["eval"],
+])
+def test_unknown_name_is_parse_error_without_instances(command, tmp_path, capsys):
+    # No instance runs, so only the check made when the program is loaded
+    # can reject the unknown names.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "frame": {"fluents": ["f"], "actions": []},
+        "instances": [],
+    }))
+    program = tmp_path / "p.txt"
+    program.write_text("0. fly\n1. goto(0,!nope)\n2. end\n")
+    problem_flag = "--problem" if command[0] == "validate" else "--testset"
+    argv = [*command, problem_flag, str(empty), "--program", str(program)]
+    assert main(argv) == EXIT_PARSE
+    captured = capsys.readouterr()
+    assert "line 0: unknown action 'fly'" in captured.err
+    assert captured.out == ""
+
+
 class TestEval:
     def test_metrics_output(self, tmp_path, capsys):
         testset = write_problem(

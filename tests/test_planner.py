@@ -322,6 +322,43 @@ class TestHAdd:
                 kinds["inf" if expected[state] == INF else min(expected[state], 2)] += 1
         assert kinds[0] and kinds[1] and kinds[2] and kinds["inf"], kinds
 
+    def test_patched_bookkeeping_keeps_h_exact(self):
+        # a1..a3 share {s, t, !u}, their precondition minus its rarest
+        # literal, so it becomes one counted node. Branch conditions lie
+        # inside the precondition (a1's s, a3's t) next to ones outside it.
+        # `free` is ready in every state and `ready` whenever u is false;
+        # both have a branch with a condition of its own.
+        b = FrameBuilder()
+        for name in ("s", "t", "u", "r1", "r2", "x", "y", "g", "h"):
+            b.fluent(name)
+        b.action("a1", pre=["s", "t", "!u", "r1"],
+                 cond=[([], ["x"]), (["s"], ["y"]), (["x"], ["g"])])
+        b.action("a2", pre=["s", "t", "!u", "r2"], cond=[([], ["g"]), (["!y"], ["h"])])
+        b.action("a3", pre=["s", "t", "!u", "x"], cond=[(["t", "y"], ["h"]), (["!s"], ["r2"])])
+        b.action("free", cond=[([], ["s"]), (["y"], ["t"])])
+        b.action("ready", pre=["!u"], cond=[(["x"], ["r2"]), ([], ["r1"])])
+        b.action("set_u", pre=["g"], cond=[([], ["u"]), ([], ["!t"])])
+        b.action("unset_u", pre=["h", "u"], cond=[([], ["!u"])])
+        frame = b.build()
+        t, u = 1 << frame.fluent_id("t"), 1 << frame.fluent_id("u")
+        # Each state, then flips of the shared t and of u (which also takes
+        # `ready` in and out of its ready set) back and forth.
+        order = [
+            x for s in range(1 << frame.width) for x in (s, s ^ t, s, s ^ u, s ^ u ^ t, s)
+        ]
+        kinds = Counter()
+        for goal in (["g", "h"], ["h", "!y", "t"], ["g", "!u"]):
+            goal = frame.masks(*goal)
+            heuristic = planner._HAdd(frame, goal)
+            assert len(heuristic.node_rest) == 1
+            expected = {}
+            for state in order:
+                if state not in expected:
+                    expected[state] = reference_h_add(frame, goal, state)
+                assert heuristic.value(state) == expected[state]
+                kinds["inf" if expected[state] == INF else min(expected[state], 3)] += 1
+        assert kinds[0] and kinds[1] and kinds[2] and kinds[3] and kinds["inf"], kinds
+
     def test_zero_iff_goal_holds(self):
         frame = chain_frame(3)
         inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f0"))
