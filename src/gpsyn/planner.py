@@ -47,8 +47,9 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_expansions is not None and self.max_expansions <= 0:
             raise ModelError("max_expansions must be positive")
-        if self.max_seconds is not None and self.max_seconds <= 0:
-            raise ModelError("max_seconds must be positive")
+        # a NaN budget would compare false with every elapsed time
+        if self.max_seconds is not None and not 0 < self.max_seconds < INF:
+            raise ModelError("max_seconds must be positive and finite")
 
 
 BFS_CONFIG = SearchConfig(strategy=Strategy.BFS, heuristic=Heuristic.BLIND)
@@ -98,20 +99,29 @@ class _HAdd:
     conditional effects split into one relaxed operator per effect branch
     whose precondition is the action's precondition ∪ the branch condition.
 
-    Unmet literals are counted once per action for its precondition. When
-    an action's count reaches 0, ``precost`` = Σ cost(pre) is summed once.
-    A branch with no condition literal outside the precondition fires with
-    its action: such adds are merged into one list per action, which fires
-    at 1 + precost. Every other branch counts its condition literals
-    outside the precondition plus one gate token, which comes off when its
-    action's count reaches 0. It fires at 1 + precost + Σ cost(cond ∖ pre),
-    i.e. 1 + Σ cost(pre ∪ cond), so a literal in both counts once.
+    An add that no precondition, branch condition or goal reads cannot
+    change h, so it is dropped. Actions with equal preconditions form one
+    group: one count of unmet precondition literals, and one deduplicated
+    list of the adds of branches with no condition literal outside the
+    precondition, which fires at 1 + Σ cost(pre) when the count reaches 0.
+    Each other condition of a group's branches, taken outside the
+    precondition, is one branch with the deduplicated adds of every branch
+    that has it. A branch counts its condition literals plus one gate token,
+    which comes off when its group's count reaches 0. It fires at
+    1 + Σ cost(pre) + Σ cost(cond), i.e. 1 + Σ cost(pre ∪ cond), so a
+    literal in both counts once.
 
-    Where two or more actions share their precondition minus its rarest
-    literal (the one the fewest actions read), that rest is one node: a
+    Where two or more groups share their precondition minus its rarest
+    literal (the one the fewest groups read), that rest is one node: a
     derived literal with its own count, which holds when the rest does and
-    costs Σ cost(rest). The actions read it in place of the rest, so the
+    costs Σ cost(rest). The groups read it in place of the rest, so the
     rest is counted down once and every sum stays the same.
+
+    No sum is taken when something fires: each count keeps, next to it,
+    the sum of the costs of the literals that settled as it went down (a
+    node keeps it as its own cost). What holds in the state costs 0, so
+    every sum starts at 0 in each call and is complete when its count
+    reaches 0; h is the sum of the goal literals' costs as they settle.
 
     Costs are integers, so ``value`` settles literals in increasing cost
     through one list per cost (Dial's buckets), and visits only the costs
@@ -121,19 +131,32 @@ class _HAdd:
 
     The object is stateful. It keeps the counts and costs of the last state
     it evaluated (at first the all-false state), with the state's own
-    literals at cost 0 and already counted, and the sets of actions and
-    branches whose count is 0 there: what they add costs 1, and a counted
-    branch of a ready action fires later at 1 + Σ cost(cond ∖ pre). A new
-    state patches all of it only at the fluents where the two states differ,
-    and ``value`` propagates on a copy. None of this changes h: each value
-    is the one a naive fixpoint over the relaxed operators gives. One
-    instance serves one search at a time; :func:`h_add` builds a fresh one
-    per call."""
+    literals at cost 0 and already counted, and the sets of groups and
+    branches whose count is 0 there: what they add costs 1, and a branch of
+    a ready group fires later at 1 + Σ cost(cond). A new state patches all
+    of it only at the fluents where the two states differ, and ``value``
+    propagates on a copy. None of this changes h: each value is the one a
+    naive fixpoint over the relaxed operators gives. One instance serves
+    one search at a time; :func:`h_add` builds a fresh one per call."""
 
     def __init__(self, frame, goal):
         self.bits = 0
-        acts = [act for act in frame.actions if act.cond]  # no branch, nothing to fire
-        pres = [_lits(*act.pre) for act in acts]
+        self.goal = goal
+        self.goal_set = goal_set = frozenset(_lits(*goal))
+        # each branch as (its action's precondition, its condition outside it, its adds)
+        ops = [
+            (act.pre, tuple(_lits(cpos & ~act.pre[0], cneg & ~act.pre[1])), _lits(epos, eneg))
+            for act in frame.actions
+            for cpos, cneg, epos, eneg in act.cond
+        ]
+        read = goal_set.union(*(_lits(*pre) + list(cond) for pre, cond, _ in ops))
+        # precondition -> condition -> adds; the condition () fires with the group
+        groups = {}
+        for pre, cond, adds in ops:
+            adds = [q for q in adds if q in read]
+            if adds:
+                groups.setdefault(pre, {}).setdefault(cond, {}).update(dict.fromkeys(adds))
+        pres = [_lits(*pre) for pre in groups]
         readers = Counter(p for pre in pres for p in pre)
         rarest = [min(pre, key=readers.__getitem__, default=None) for pre in pres]
         rests = [tuple(p for p in pre if p != r) for pre, r in zip(pres, rarest)]
@@ -144,10 +167,10 @@ class _HAdd:
             for n, rest in enumerate(rest for rest, k in shared.items() if k > 1)
         }
         node_of = {rest: q for q, rest in node_rest.items()}
-        # A node's cost is read only once its count is 0, so it stays 0 here
-        # and value() sets it when the node is reached.
+        # A node's cost is the running sum of its rest's costs: 0 here, and
+        # complete once its count is 0.
         cost = [INF, 0] * frame.width + [0] * len(node_rest)
-        node_consumers, act_consumers, br_consumers = ([[] for _ in cost] for _ in range(3))
+        node_consumers, grp_consumers, br_consumers = ([[] for _ in cost] for _ in range(3))
         for q, rest in node_rest.items():
             for p in rest:
                 node_consumers[p].append(q)
@@ -156,72 +179,63 @@ class _HAdd:
         is_unmet = unmet.__getitem__
         node_unsat = {q: sum(map(is_unmet, rest)) for q, rest in node_rest.items()}
         unmet += [k != 0 for k in node_unsat.values()]
-        act_pre, act_unsat, act_add, act_branches = [], [], [], []
-        br_act, br_cond, br_add, br_unsat = [], [], [], []
-        for a, (act, pre, r, rest) in enumerate(zip(acts, pres, rarest, rests)):
+        grp_unsat, grp_add, grp_branches = [], [], []
+        br_grp, br_add, br_unsat = [], [], []
+        for g, (conds, pre, r, rest) in enumerate(zip(groups.values(), pres, rarest, rests)):
             if rest in node_of:
                 pre = [r, node_of[rest]]
             for p in pre:
-                act_consumers[p].append(a)
-            act_pre.append(pre)
-            act_unsat.append(sum(map(is_unmet, pre)))
-            ppos, pneg = act.pre
-            adds, branches = [], []
-            for cpos, cneg, epos, eneg in act.cond:
-                cond = _lits(cpos & ~ppos, cneg & ~pneg)
-                if not cond:
-                    adds += _lits(epos, eneg)
-                    continue
-                b = len(br_act)
+                grp_consumers[p].append(g)
+            grp_unsat.append(sum(map(is_unmet, pre)))
+            grp_add.append(list(conds.pop((), ())))
+            branches = []
+            for cond, adds in conds.items():
+                b = len(br_grp)
                 for p in cond:
                     br_consumers[p].append(b)
                 branches.append(b)
-                br_act.append(a)
-                br_cond.append(cond)
-                br_add.append(_lits(epos, eneg))
-                # a branch's gate is on while its action's count is not 0
-                br_unsat.append(sum(map(is_unmet, cond)) + (act_unsat[a] != 0))
-            act_add.append(adds)
-            act_branches.append(branches)
+                br_grp.append(g)
+                br_add.append(list(adds))
+                # a branch's gate is on while its group's count is not 0
+                br_unsat.append(sum(map(is_unmet, cond)) + (grp_unsat[g] != 0))
+            grp_branches.append(branches)
         self.cost = cost
         self.node_rest, self.node_unsat, self.node_consumers = node_rest, node_unsat, node_consumers
-        self.act_pre, self.act_unsat, self.act_add = act_pre, act_unsat, act_add
-        self.act_branches, self.act_consumers = act_branches, act_consumers
-        self.br_act, self.br_cond, self.br_add = br_act, br_cond, br_add
-        self.br_unsat, self.br_consumers = br_unsat, br_consumers
-        self.act_ready = {a for a, k in enumerate(act_unsat) if not k}
+        self.grp_unsat, self.grp_add, self.grp_branches = grp_unsat, grp_add, grp_branches
+        self.grp_consumers = grp_consumers
+        self.br_grp, self.br_add, self.br_unsat, self.br_consumers = (
+            br_grp, br_add, br_unsat, br_consumers
+        )
+        self.grp_ready = {g for g, k in enumerate(grp_unsat) if not k}
         self.br_ready = {b for b, k in enumerate(br_unsat) if not k}
-        self.goal = goal
-        self.goal_lits = _lits(*goal)
-        self.goal_set = frozenset(self.goal_lits)
 
     def _move_to(self, bits: int) -> None:
         """Patch the counts, costs and ready sets of the last state into
-        those of ``bits``, one layer at a time: nodes, actions, branches."""
-        cost, act_consumers = self.cost, self.act_consumers
-        node_up, node_down, act_up, act_down, br_up, br_down = [], [], [], [], [], []
+        those of ``bits``, one layer at a time: nodes, groups, branches."""
+        cost, grp_consumers = self.cost, self.grp_consumers
+        node_up, node_down, grp_up, grp_down, br_up, br_down = [], [], [], [], [], []
         for f in bit_ids(bits ^ self.bits):
             now = 2 * f + (not bits >> f & 1)
             old = now ^ 1
             cost[now], cost[old] = 0, INF
             node_up += self.node_consumers[old]
             node_down += self.node_consumers[now]
-            act_up += act_consumers[old]
-            act_down += act_consumers[now]
+            grp_up += grp_consumers[old]
+            grp_down += grp_consumers[now]
             br_up += self.br_consumers[old]
             br_down += self.br_consumers[now]
         left, reached = _shift(self.node_unsat, node_up, node_down)
         for q in left:
-            act_up += act_consumers[q]
+            grp_up += grp_consumers[q]
         for q in reached:
-            act_down += act_consumers[q]
-        left, reached = _shift(self.act_unsat, act_up, act_down)
-        for a in left:
-            br_up += self.act_branches[a]  # the gate goes back on
-        for a in reached:
-            br_down += self.act_branches[a]
-        self.act_ready.difference_update(left)
-        self.act_ready.update(reached)
+            grp_down += grp_consumers[q]
+        left, reached = _shift(self.grp_unsat, grp_up, grp_down)
+        for g in left:
+            br_up += self.grp_branches[g]  # the gate goes back on
+        for g in reached:
+            br_down += self.grp_branches[g]
+        self.grp_ready.difference_update(left)
+        self.grp_ready.update(reached)
         left, reached = _shift(self.br_unsat, br_up, br_down)
         self.br_ready.difference_update(left)
         self.br_ready.update(reached)
@@ -235,59 +249,72 @@ class _HAdd:
         self._move_to(bits)
         cost = self.cost[:]
         node_unsat = self.node_unsat.copy()
-        act_unsat = self.act_unsat[:]
+        grp_unsat = self.grp_unsat[:]
         br_unsat = self.br_unsat[:]
-        node_rest, node_consumers = self.node_rest, self.node_consumers
-        act_pre, act_add, act_branches, act_consumers = (
-            self.act_pre, self.act_add, self.act_branches, self.act_consumers
+        # Σ cost of what each count has seen settle; what was met at the
+        # start costs 0
+        grp_sum = [0] * len(grp_unsat)
+        br_sum = [0] * len(br_unsat)
+        node_consumers, grp_consumers, br_consumers = (
+            self.node_consumers, self.grp_consumers, self.br_consumers
         )
-        br_act, br_cond, br_add, br_consumers = (
-            self.br_act, self.br_cond, self.br_add, self.br_consumers
+        grp_add, grp_branches, br_grp, br_add = (
+            self.grp_add, self.grp_branches, self.br_grp, self.br_add
         )
         goal_set = self.goal_set
-        get_cost = cost.__getitem__
-        # What the ready actions and branches add costs 1.
+        # What the ready groups and branches add costs 1.
         level = []
-        for adds in [act_add[a] for a in self.act_ready] + [br_add[b] for b in self.br_ready]:
+        for adds in [grp_add[g] for g in self.grp_ready] + [br_add[b] for b in self.br_ready]:
             for q in adds:
                 if cost[q] > 1:
                     cost[q] = 1
                     level.append(q)
         buckets = {1: level}
-        precost = [0] * len(act_pre)  # 0 for an action ready at the start
+        h = 0
         while buckets:
             c = min(buckets)
             for p in buckets[c]:  # a node may join this level while it runs
                 if cost[p] != c:
                     continue  # stale: settled earlier at a lower cost
                 if p in goal_set:
+                    h += c
                     goal_left -= 1
                     if not goal_left:
-                        return sum(map(get_cost, self.goal_lits))
+                        return h
                 for q in node_consumers[p]:
                     n = node_unsat[q] - 1
                     node_unsat[q] = n
+                    oc = cost[q] + c
+                    cost[q] = oc
                     if not n:
-                        oc = sum(map(get_cost, node_rest[q]))
-                        cost[q] = oc
                         buckets.setdefault(oc, []).append(q)
-                branches = br_consumers[p]
-                for a in act_consumers[p]:
-                    n = act_unsat[a] - 1
-                    act_unsat[a] = n
+                for g in grp_consumers[p]:
+                    n = grp_unsat[g] - 1
+                    grp_unsat[g] = n
+                    s = grp_sum[g] + c
+                    grp_sum[g] = s
                     if not n:
-                        precost[a] = sum(map(get_cost, act_pre[a]))
-                        oc = 1 + precost[a]
-                        for q in act_add[a]:
+                        oc = 1 + s
+                        for q in grp_add[g]:
                             if oc < cost[q]:
                                 cost[q] = oc
                                 buckets.setdefault(oc, []).append(q)
-                        branches = branches + act_branches[a]  # their gate tokens
-                for b in branches:
+                        for b in grp_branches[g]:  # their gate tokens
+                            n = br_unsat[b] - 1
+                            br_unsat[b] = n
+                            if not n:
+                                oc = 1 + s + br_sum[b]
+                                for q in br_add[b]:
+                                    if oc < cost[q]:
+                                        cost[q] = oc
+                                        buckets.setdefault(oc, []).append(q)
+                for b in br_consumers[p]:
                     n = br_unsat[b] - 1
                     br_unsat[b] = n
+                    s = br_sum[b] + c
+                    br_sum[b] = s
                     if not n:
-                        oc = 1 + precost[br_act[b]] + sum(map(get_cost, br_cond[b]))
+                        oc = 1 + grp_sum[br_grp[b]] + s
                         for q in br_add[b]:
                             if oc < cost[q]:
                                 cost[q] = oc

@@ -132,6 +132,20 @@ class TestSynth:
         assert main(argv + ["--problem", str(trisum_problem), "--max-seconds", "0"]) \
             == EXIT_PARSE
 
+    @pytest.mark.parametrize("command", ["synth", "validate"])
+    @pytest.mark.parametrize("seconds", ["nan", "inf"])
+    def test_non_finite_max_seconds_is_parse_error(
+        self, command, seconds, trisum_problem, tmp_path
+    ):
+        program = tmp_path / "p.txt"
+        program.write_text("0. end\n")
+        argv = {
+            "synth": ["synth", "--lines", "3", "--out", str(program)],
+            "validate": ["validate", "--program", str(program), "--mode", "compiled"],
+        }[command]
+        assert main(argv + ["--problem", str(trisum_problem), "--max-seconds", seconds]) \
+            == EXIT_PARSE
+
     def test_zero_positives_is_error(self, tmp_path):
         path = write_problem(
             tmp_path, "neg.json", "trisum", [InstanceSpec(2, Label.NEGATIVE)]

@@ -173,6 +173,14 @@ def test_invalid_config_rejected():
         SearchConfig(max_seconds=-1)
 
 
+@pytest.mark.parametrize("seconds", [float("nan"), INF, -INF])
+def test_non_finite_time_budget_rejected(seconds):
+    # _out_of_budget compares elapsed > max_seconds, which is never true
+    # for NaN or ∞, so such a budget would bound nothing.
+    with pytest.raises(ModelError):
+        SearchConfig(max_seconds=seconds)
+
+
 def test_deterministic_plans():
     rng = random.Random(2)
     frame = random_frame(rng, 5, 3)
@@ -359,6 +367,44 @@ class TestHAdd:
                 kinds["inf" if expected[state] == INF else min(expected[state], 3)] += 1
         assert kinds[0] and kinds[1] and kinds[2] and kinds[3] and kinds["inf"], kinds
 
+    def test_shared_precondition_keeps_h_exact(self):
+        # p1, p2 and p3 share {s, t}, so they share one count: p1 and p2
+        # add different literals unconditionally, and p3's one branch needs
+        # w, which lies outside {s, t}. p1 also adds `junk`, which nothing
+        # reads, and p2 adds `k`, which only goals read. w is reachable
+        # where the group is not (s false with t true: nothing adds !t),
+        # so g must stay ∞ there until the group's count reaches 0.
+        b = FrameBuilder()
+        for name in ("s", "t", "u", "x", "y", "w", "junk", "g", "k"):
+            b.fluent(name)
+        b.action("p1", pre=["s", "t"], cond=[([], ["x"]), ([], ["junk"])])
+        b.action("p2", pre=["s", "t"], cond=[([], ["y"]), ([], ["k"])])
+        b.action("p3", pre=["s", "t"], cond=[(["w"], ["g"])])
+        b.action("make_u", pre=["!t"], cond=[([], ["u"])])
+        b.action("make_s", pre=["u"], cond=[([], ["s"])])
+        b.action("make_t", pre=["!w"], cond=[([], ["t"])])
+        b.action("make_w", pre=["!s"], cond=[([], ["w"])])
+        b.action("use_x", pre=["x"], cond=[([], ["!w"])])
+        b.action("use_y", pre=["y", "!u"], cond=[(["x"], ["w"])])
+        frame = b.build()
+        s, t = 1 << frame.fluent_id("s"), 1 << frame.fluent_id("t")
+        # Each state, then flips of the shared s and t back and forth, so
+        # the group's count and sums move in and out of 0 between calls.
+        order = [
+            x for st in range(1 << frame.width) for x in (st, st ^ s, st, st ^ t, st ^ s ^ t, st)
+        ]
+        kinds = Counter()
+        for goal in (["g"], ["g", "k"], ["k", "!u"], ["x", "w"]):
+            goal = frame.masks(*goal)
+            heuristic = planner._HAdd(frame, goal)
+            expected = {}
+            for state in order:
+                if state not in expected:
+                    expected[state] = reference_h_add(frame, goal, state)
+                assert heuristic.value(state) == expected[state]
+                kinds["inf" if expected[state] == INF else min(expected[state], 4)] += 1
+        assert all(kinds[k] for k in (0, 1, 2, 3, 4, "inf")), kinds
+
     def test_zero_iff_goal_holds(self):
         frame = chain_frame(3)
         inst = ClassicalInstance(frame, "t", frame.state(["f0"]), frame.masks("f0"))
@@ -418,28 +464,44 @@ class TestHAdd:
 
 
 @pytest.mark.parametrize(
-    "domain, specs, counts, program",
+    "domain, specs, lines, counts, program",
     [
         (
             "trisum",
             [InstanceSpec(2), InstanceSpec(4), InstanceSpec(4, Label.NEGATIVE)],
+            3,
             (148, 344, 343, 151),
             "0. add_b_to_a\n1. dec_b\n2. goto(0,!val_b_0)\n3. end\n",
         ),
         (
             "list",
             [InstanceSpec(2), InstanceSpec(4), InstanceSpec(3, Label.NEGATIVE)],
+            3,
             (117, 199, 198, 71),
             "0. visit\n1. next\n2. goto(0,!tail_visited)\n3. end\n",
         ),
+        (
+            "robopainter",
+            [InstanceSpec(2), InstanceSpec(5), InstanceSpec(1, Label.NEGATIVE)],
+            5,
+            (2397, 12392, 12391, 7291),
+            "0. paint\n1. inc\n2. inc\n3. goto(0,!at_end)\n4. paint\n5. end\n",
+        ),
+        (
+            "robopainter",
+            [InstanceSpec(2), InstanceSpec(6), InstanceSpec(1, Label.NEGATIVE)],
+            5,
+            (1384, 13193, 13192, 8972),
+            "0. paint\n1. inc\n2. inc\n3. goto(0,!at_end)\n4. end\n5. end\n",
+        ),
     ],
-    ids=["trisum", "list"],
+    ids=["trisum", "list", "robopainter-5", "robopainter-6"],
 )
-def test_gbfs_counts_on_pn_synthesis_are_pinned(domain, specs, counts, program):
-    # GBFS with h_add on two criterion-5 tasks (3 lines, backward gotos
-    # only): any change to an h value or to the search order moves these
+def test_gbfs_counts_on_pn_synthesis_are_pinned(domain, specs, lines, counts, program):
+    # GBFS with h_add on the four synth-pn tasks (backward gotos only): any
+    # change to an h value or to the search order moves these
     # (expansions, generated, evaluations, dead_ends).
-    compiled = compile_synthesis_pn(build_task(domain, specs), 3, allow_forward_gotos=False)
+    compiled = compile_synthesis_pn(build_task(domain, specs), lines, allow_forward_gotos=False)
     result = solve(compiled, SearchConfig())
     stats = result.stats
     assert (stats.expansions, stats.generated, stats.evaluations, stats.dead_ends) == counts
