@@ -319,11 +319,8 @@ def _cmd_eval(args) -> int:
     report = evaluate_test_set(program, test_set)
     records = [
         {
-            "instance": rec.name,
-            "label": rec.label.value,
+            **_outcome_row(rec.name, rec.label, rec.outcome),
             "classification": rec.classification.value,
-            "solved": rec.outcome.solved,
-            "failure": rec.outcome.failure.value if rec.outcome.failure else None,
         }
         for rec in report.records
     ]

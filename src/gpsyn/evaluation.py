@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import ModelError
-from .interpreter import DEFAULT_STATE_CAP, ExecutionOutcome, execute
+from .interpreter import DEFAULT_STATE_CAP, ExecutionOutcome, bind_program, execute
 from .model import GeneralizedProblem, Label
 from .program import Program
 
@@ -124,11 +124,13 @@ def evaluate_test_set(
     *,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> EvaluationReport:
-    """Run the program on every instance and aggregate the confusion counts."""
+    """Run the program, bound once, on every instance and aggregate the
+    confusion counts."""
     counts = ConfusionCounts()
     records = []
+    ops = bind_program(program, test_set.frame)
     for instance in test_set.instances:
-        outcome = execute(program, instance, state_cap=state_cap)
+        outcome = execute(ops, instance, state_cap=state_cap)
         cls = classification_of(instance.label, outcome.solved)
         counts = counts.add(cls)
         records.append(InstanceRecord(instance.name, instance.label, outcome, cls))

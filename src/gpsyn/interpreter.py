@@ -75,12 +75,14 @@ class ValidationReport:
 
 
 def bind_program(program: Program, frame: Frame) -> list[tuple]:
-    """Resolve instruction names against a frame into dispatchable ops."""
+    """Resolve instruction names against a frame into dispatchable ops: an
+    act op carries its action and the action's unpacked precondition masks."""
     program.check_against(frame)
     ops: list[tuple] = []
     for ins in program.lines:
         if isinstance(ins, ActInstruction):
-            ops.append((_ACT, frame.action(ins.action)))
+            action = frame.action(ins.action)
+            ops.append((_ACT, action, *action.pre))
         elif isinstance(ins, GotoInstruction):
             ops.append((_GOTO, ins.target, frame.fluent_id(ins.fluent)))
         else:
@@ -89,13 +91,17 @@ def bind_program(program: Program, frame: Frame) -> list[tuple]:
 
 
 def execute(
-    program: Program,
+    program: Program | list[tuple],
     instance: ClassicalInstance,
     *,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ExecutionOutcome:
-    """Run ``program`` from ``(instance.init, 0)`` to one of the outcomes."""
-    ops = bind_program(program, instance.frame)
+    """Run ``program`` from ``(instance.init, 0)`` to one of the outcomes.
+
+    ``program`` may also be the ops that :func:`bind_program` made for the
+    instance's frame, so that a caller running one program on many instances
+    binds it once."""
+    ops = program if isinstance(program, list) else bind_program(program, instance.frame)
     bits, pc = instance.init, 0
     steps = 0
     seen = {(bits, pc)}
@@ -103,8 +109,8 @@ def execute(
         op = ops[pc]
         kind = op[0]
         if kind == _ACT:
-            action = op[1]
-            if not holds(bits, action.pre):
+            _, action, pos, neg = op
+            if bits & pos != pos or bits & neg:
                 return ExecutionOutcome(
                     solved=False,
                     steps=steps,
@@ -124,19 +130,19 @@ def execute(
                 failure=None if solved else FailureKind.INCOMPLETE,
             )
         steps += 1
-        key = (bits, pc)
-        if key in seen:
+        n = len(seen)
+        seen.add((bits, pc))
+        if len(seen) == n:
             return ExecutionOutcome(
                 solved=False,
                 steps=steps,
                 failure=FailureKind.INFINITE_LOOP,
                 repeat_state=ProgramState(bits, pc),
             )
-        if len(seen) >= state_cap:
+        if n >= state_cap:
             raise ExecutionResourceError(
                 f"visited-state cap {state_cap} exceeded after {steps} steps"
             )
-        seen.add(key)
 
 
 def validate_program(
@@ -146,10 +152,10 @@ def validate_program(
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> ValidationReport:
     """Check that ``program`` solves every positive instance and fails every
-    negative one (any failure source counts)."""
-    outcomes = tuple(
-        execute(program, inst, state_cap=state_cap) for inst in problem.instances
-    )
+    negative one (any failure source counts). The program is bound once,
+    against the problem's frame, for all its instances."""
+    ops = bind_program(program, problem.frame)
+    outcomes = tuple(execute(ops, inst, state_cap=state_cap) for inst in problem.instances)
     passed = all(
         out.solved == inst.is_positive
         for inst, out in zip(problem.instances, outcomes)

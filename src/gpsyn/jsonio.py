@@ -21,10 +21,22 @@ Schema::
 Literals are fluent names, ``!``-prefixed for negative polarity; ``init``
 lists exactly the true fluents. Round-trips preserve fluent order, action
 definitions, and labels.
+
+Loading is most of ``gpsyn eval`` on a wide frame (Triangular Sum at size 30
+has 13.5k effects and 54k effect literals), so two things keep it cheap.
+Literal lists parse through one literal table per fluent list (see
+:class:`gpsyn.model.FrameBuilder`): ``"name"`` maps to ``1 << f`` and
+``"!name"`` to ``1 << (width + f)``, so a literal is one lookup and one OR.
+And :func:`load_problem` pauses the cyclic garbage collector while it runs:
+decoding and frame building allocate about 10^5 containers, none of them
+cyclic garbage, and the collector's passes over them cost about a fifth of
+the load. The collector's previous state is restored on every exit, and a
+collector the caller had turned off stays off.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 from pathlib import Path
 from typing import Any
@@ -85,14 +97,20 @@ def problem_from_dict(doc: dict) -> GeneralizedProblem:
         for name in _typed(doc["frame"]["fluents"], list):
             builder.fluent(_typed(name, str))
         for act in doc["frame"]["actions"]:
-            builder.action(
-                _typed(act["name"], str),
-                pre=_typed(act.get("pre", []), list),
-                cond=[
-                    (_typed(eff.get("when", []), list), _typed(eff["then"], list))
-                    for eff in act.get("effects", [])
-                ],
-            )
+            name, pre, cond = _typed(act["name"], str), _typed(act.get("pre", []), list), []
+            for eff in _typed(act.get("effects", []), list):
+                # Tested inline, as there are 10^4 effects in a wide frame;
+                # _typed only raises the message.
+                if type(eff) is not dict:
+                    _typed(eff, dict)
+                when = eff.get("when", [])
+                if type(when) is not list:
+                    _typed(when, list)
+                then = eff["then"]
+                if type(then) is not list:
+                    _typed(then, list)
+                cond.append((when, then))
+            builder.action(name, pre=pre, cond=cond)
         frame = builder.build()
         instances = []
         for inst in doc["instances"]:
@@ -109,6 +127,8 @@ def problem_from_dict(doc: dict) -> GeneralizedProblem:
         return GeneralizedProblem(frame, tuple(instances))
     except ParseError:
         raise
+    except KeyError as exc:
+        raise ParseError(f"malformed problem document: missing key {exc.args[0]!r}") from exc
     except Exception as exc:
         raise ParseError(f"malformed problem document: {exc}") from exc
 
@@ -120,8 +140,15 @@ def dump_problem(problem: GeneralizedProblem, path, manifest: dict | None = None
 
 
 def load_problem(path) -> GeneralizedProblem:
+    # The collector pauses for the load (see the module docstring).
+    enabled = gc.isenabled()
+    gc.disable()
     try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read problem file {path}: {exc}") from exc
-    return problem_from_dict(doc)
+        try:
+            doc = json.loads(Path(path).read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ParseError(f"cannot read problem file {path}: {exc}") from exc
+        return problem_from_dict(doc)
+    finally:
+        if enabled:
+            gc.enable()

@@ -5,10 +5,11 @@ state is an int bitmask whose bit ``f`` is set iff fluent ``f`` is true. A
 precondition or a goal is a ``(pos, neg)`` mask pair, tested on a state with
 :func:`holds`, and an action's conditional effects are ``(cond.pos, cond.neg,
 eff.pos, eff.neg)`` mask tuples; the type that owns a pair rejects a fluent in
-both masks. :meth:`Frame.masks` parses ``"name"`` / ``"!name"`` texts into a
-mask pair and :meth:`Frame.texts` prints masks back. Compiled instances
-produced by :mod:`gpsyn.compiler` reuse these types, so the representation
-has to stay cheap at a few hundred fluents.
+both masks. :meth:`Frame.masks` and :class:`FrameBuilder` parse ``"name"`` /
+``"!name"`` texts into a mask pair through a literal table that gives each
+text its bit in one double-width mask, and :meth:`Frame.texts` prints masks
+back. Compiled instances produced by :mod:`gpsyn.compiler` reuse these
+types, so the representation has to stay cheap at a few hundred fluents.
 
 :func:`successor_bits` is the one successor function, and
 :func:`triggered_masks` the one place conditional effects are evaluated; it
@@ -23,7 +24,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 from .errors import ConflictError, ModelError
 
@@ -134,9 +135,13 @@ class Frame:
     def has_action(self, name: str) -> bool:
         return name in self._actions_by_name
 
+    @cached_property
+    def _parse(self) -> Callable[[Iterable[str]], tuple[int, int]]:
+        return _literal_parser(self.fluents)
+
     def masks(self, *texts: str) -> tuple[int, int]:
         """Parse ``"name"`` / ``"!name"`` texts into a ``(pos, neg)`` mask pair."""
-        return _masks(texts, self._fluent_ids)
+        return self._parse(texts)
 
     def texts(self, pos: int, neg: int) -> list[str]:
         """The literals of the masks ``pos`` (true) and ``neg`` (false) as
@@ -162,19 +167,32 @@ def _check_names(kind: str, names: Sequence[str]) -> None:
         )
 
 
-def _masks(texts: Iterable[str], ids: dict) -> tuple[int, int]:
-    """Parse ``"name"`` / ``"!name"`` texts into a ``(pos, neg)`` mask pair,
-    with fluent ids from ``ids``."""
-    pos = neg = 0
-    try:
+def _literal_parser(fluents: Sequence[str]) -> Callable[[Iterable[str]], tuple[int, int]]:
+    """A parser of ``"name"`` / ``"!name"`` texts into a ``(pos, neg)`` mask
+    pair over ``fluents``. Its literal table maps ``"name"`` to ``1 << f`` and
+    ``"!name"`` to ``1 << (width + f)``; :data:`NAME` forbids ``!``, so the
+    keys cannot clash, and a literal costs one lookup and one OR into a
+    double-width mask."""
+    width = len(fluents)
+    full = (1 << width) - 1
+    table = {name: 1 << f for f, name in enumerate(fluents)}
+    table.update({"!" + name: 1 << (width + f) for f, name in enumerate(fluents)})
+
+    def parse(texts: Iterable[str]) -> tuple[int, int]:
+        m = 0
         for text in texts:
-            if text.startswith("!"):
-                neg |= 1 << ids[text[1:]]
-            else:
-                pos |= 1 << ids[text]
-    except KeyError as exc:
-        raise ModelError(f"unknown fluent {exc.args[0]!r}") from None
-    return pos, neg
+            try:
+                m |= table[text]
+            except (KeyError, TypeError):
+                # Name the literal without its '!'; a non-string fails on startswith.
+                name = text[1:] if text.startswith("!") else text
+                raise ModelError(f"unknown fluent {name!r}") from None
+        # ``&`` allocates as many digits as ``full`` however few bits
+        # survive; ``| 0`` copies the result into an int of its own size,
+        # since these masks live as long as the frame.
+        return (m & full) | 0, m >> width
+
+    return parse
 
 
 class FrameBuilder:
@@ -182,11 +200,11 @@ class FrameBuilder:
 
     def __init__(self):
         self._fluents: list[str] = []
-        self._ids: dict[str, int] = {}
         self._actions: list[Action] = []
+        self._parse = _literal_parser(())
+        self._parse_width = 0
 
     def fluent(self, name: str) -> None:
-        self._ids[name] = len(self._fluents)
         self._fluents.append(name)
 
     def action(
@@ -195,9 +213,11 @@ class FrameBuilder:
         pre: Iterable[str] = (),
         cond: Iterable[tuple[Iterable[str], Iterable[str]]] = (),
     ) -> None:
-        ids = self._ids
-        effects = tuple((*_masks(when, ids), *_masks(then, ids)) for when, then in cond)
-        self._actions.append(Action(name, _masks(pre, ids), effects))
+        if self._parse_width != len(self._fluents):  # fluents were added since the last action
+            self._parse, self._parse_width = _literal_parser(self._fluents), len(self._fluents)
+        parse = self._parse
+        effects = tuple((*parse(when), *parse(then)) for when, then in cond)
+        self._actions.append(Action(name, parse(pre), effects))
 
     def build(self) -> Frame:
         return Frame(tuple(self._fluents), tuple(self._actions))

@@ -1,5 +1,6 @@
-"""Shared test utilities: randomized frames, programs, and labeled instances,
-and a reference program stepper that shares no code with the interpreter.
+"""Shared test utilities: randomized frames, programs, labeled instances and
+problem documents, a reference program stepper that shares no code with the
+interpreter, and a reference loader that parses one literal at a time.
 
 Random actions assign one polarity per touched fluent across all effect
 branches, so simultaneously triggered effects can never conflict; random
@@ -14,6 +15,7 @@ import random
 from gpsyn.errors import ExecutionResourceError
 from gpsyn.interpreter import ExecutionOutcome, FailureKind, ProgramState, execute
 from gpsyn.model import (
+    Action,
     ClassicalInstance,
     Frame,
     FrameBuilder,
@@ -191,3 +193,85 @@ def reference_run(program: Program, instance: ClassicalInstance) -> ExecutionOut
         ps, steps = nxt, steps + 1
         if ps in seen:
             return ExecutionOutcome(False, steps, FailureKind.INFINITE_LOOP, repeat_state=ps)
+
+
+# -- reference loader ---------------------------------------------------------
+
+
+def reference_masks(texts, ids: dict) -> tuple[int, int]:
+    """The ``(pos, neg)`` masks of ``"name"`` / ``"!name"`` texts, parsed one
+    literal at a time: test the ``!``, strip it, look the name up in ``ids``
+    and shift."""
+    pos = neg = 0
+    for text in texts:
+        if text.startswith("!"):
+            neg |= 1 << ids[text[1:]]
+        else:
+            pos |= 1 << ids[text]
+    return pos, neg
+
+
+def reference_problem(doc: dict) -> GeneralizedProblem:
+    """The problem a well-formed ``jsonio`` document describes, built with
+    :func:`reference_masks` and the model's constructors, without
+    ``FrameBuilder``, ``Frame.masks`` or ``Frame.state``."""
+    fluents = tuple(doc["frame"]["fluents"])
+    ids = {name: f for f, name in enumerate(fluents)}
+    actions = tuple(
+        Action(
+            act["name"],
+            reference_masks(act.get("pre", []), ids),
+            tuple(
+                (*reference_masks(eff.get("when", []), ids), *reference_masks(eff["then"], ids))
+                for eff in act.get("effects", [])
+            ),
+        )
+        for act in doc["frame"]["actions"]
+    )
+    frame = Frame(fluents, actions)
+    instances = []
+    for inst in doc["instances"]:
+        init = 0
+        for name in inst["init"]:
+            init |= 1 << ids[name]
+        goal = reference_masks(inst["goal"], ids)
+        label = Label(inst.get("label", "positive"))
+        instances.append(ClassicalInstance(frame, inst["name"], init, goal, label))
+    return GeneralizedProblem(frame, tuple(instances))
+
+
+def random_problem_doc(rng: random.Random) -> dict:
+    """A well-formed problem document with negative literals in every kind of
+    literal list and, now and then, a literal repeated within one list."""
+    names = [f"f{i}" for i in range(rng.randint(1, 70))]
+
+    def literals(min_count: int = 0) -> list[str]:
+        chosen = rng.sample(names, rng.randint(min(min_count, len(names)), min(4, len(names))))
+        texts = [name if rng.random() < 0.5 else "!" + name for name in chosen]
+        if texts and rng.random() < 0.3:
+            texts.append(rng.choice(texts))
+        rng.shuffle(texts)
+        return texts
+
+    actions = []
+    for a in range(rng.randint(0, 4)):
+        effects = []
+        for _ in range(rng.randint(0, 4)):
+            effect = {"then": literals(1)}
+            if rng.random() < 0.8:
+                effect["when"] = literals()
+            effects.append(effect)
+        action = {"name": f"a{a}", "effects": effects}
+        if rng.random() < 0.8:
+            action["pre"] = literals()
+        actions.append(action)
+    instances = [
+        {
+            "name": f"i{i}",
+            "label": rng.choice(["positive", "negative"]),
+            "init": [name for name in names if rng.random() < 0.3],
+            "goal": literals(),
+        }
+        for i in range(rng.randint(0, 3))
+    ]
+    return {"frame": {"fluents": names, "actions": actions}, "instances": instances}

@@ -441,6 +441,23 @@ class TestEval:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["metrics"] == payload["metrics"]
 
+    def test_rows_name_the_inapplicable_line_and_action(self, tmp_path, capsys):
+        # Never walks back, so the second pick_left finds the robot in room B.
+        testset = write_problem(tmp_path, "g.json", "gripper", [InstanceSpec(2)])
+        program = tmp_path / "p.txt"
+        program.write_text("0. pick_left\n1. move\n2. drop_left\n3. goto(0,!a_empty)\n4. end\n")
+        main(["eval", "--testset", str(testset), "--program", str(program), "--json"])
+        (row,) = json.loads(capsys.readouterr().out)["records"]
+        assert row == {
+            "instance": "gripper-2-positive-1",
+            "label": "positive",
+            "solved": False,
+            "failure": "inapplicable",
+            "line": 0,
+            "action": "pick_left",
+            "classification": "FN",
+        }
+
     def test_undefined_metric_renders_dash(self, tmp_path, capsys):
         testset = write_problem(
             tmp_path, "onlyneg.json", "trisum", [InstanceSpec(3, Label.NEGATIVE)]

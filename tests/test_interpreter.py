@@ -2,11 +2,14 @@ import random
 
 import pytest
 
+from gpsyn import evaluation, interpreter
 from gpsyn.errors import ExecutionResourceError
+from gpsyn.evaluation import evaluate_test_set
 from gpsyn.interpreter import (
     ExecutionOutcome,
     FailureKind,
     ProgramState,
+    bind_program,
     execute,
     validate_program,
 )
@@ -16,6 +19,7 @@ from gpsyn.model import validate_sequential_plan
 from helpers import (
     END,
     random_frame,
+    random_generalized_problem,
     random_goal,
     random_program,
     random_state,
@@ -169,6 +173,37 @@ class TestExecute:
             assert out == reference_run(prog, inst)
             kinds.add(out.failure)
         assert kinds == {None, *FailureKind}
+
+    def test_program_bound_once_agrees_with_reference(self):
+        # validate_program and evaluate_test_set bind the program once and run
+        # every instance on those ops; each outcome must still be the
+        # reference stepper's.
+        rng = random.Random(24)
+        kinds = set()
+        for _ in range(150):
+            frame = random_frame(rng, rng.randint(2, 5), rng.randint(1, 3))
+            prog = random_program(rng, frame, rng.randint(1, 4))
+            problem = random_generalized_problem(rng, frame, rng.randint(1, 4))
+            expected = tuple(reference_run(prog, inst) for inst in problem.instances)
+            assert validate_program(prog, problem).outcomes == expected
+            records = evaluate_test_set(prog, problem).records
+            assert tuple(rec.outcome for rec in records) == expected
+            kinds.update(out.failure for out in expected)
+        assert kinds == {None, *FailureKind}
+
+    def test_program_is_bound_once_per_call(self, corridor_task, straight_program, monkeypatch):
+        frames = []
+
+        def counting_bind(program, frame):
+            frames.append(frame)
+            return bind_program(program, frame)
+
+        monkeypatch.setattr(interpreter, "bind_program", counting_bind)
+        monkeypatch.setattr(evaluation, "bind_program", counting_bind)
+        validate_program(straight_program, corridor_task)
+        evaluate_test_set(straight_program, corridor_task)
+        assert corridor_task.t_total > 1
+        assert frames == [corridor_task.frame] * 2
 
     def test_straight_line_agrees_with_sequential_plan_oracle(self):
         rng = random.Random(5)

@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 
@@ -5,7 +6,7 @@ import pytest
 
 from gpsyn import jsonio, pddl
 from gpsyn.compiler import compile_synthesis_pn, compile_validation
-from gpsyn.domains import InstanceSpec, build_task
+from gpsyn.domains import DOMAIN_NAMES, InstanceSpec, build_task
 from gpsyn.errors import ParseError
 from gpsyn.model import (
     ClassicalInstance,
@@ -14,7 +15,12 @@ from gpsyn.model import (
     holds,
     successor_bits,
 )
-from helpers import random_frame, random_generalized_problem
+from helpers import (
+    random_frame,
+    random_generalized_problem,
+    random_problem_doc,
+    reference_problem,
+)
 from pddl_reader import read_domain, read_problem
 
 
@@ -91,12 +97,13 @@ class TestJson:
         [
             lambda d: d["frame"].update(fluents="pq"),
             lambda d: d["frame"]["actions"][0].update(pre="pq"),
+            lambda d: d["frame"]["actions"][0].update(effects="pq"),
             lambda d: d["frame"]["actions"][0]["effects"][0].update(when="pq"),
             lambda d: d["frame"]["actions"][0]["effects"][0].update(then="pq"),
             lambda d: d["instances"][0].update(init="pq"),
             lambda d: d["instances"][0].update(goal="pq"),
         ],
-        ids=["fluents", "pre", "when", "then", "init", "goal"],
+        ids=["fluents", "pre", "effects", "when", "then", "init", "goal"],
     )
     def test_string_where_a_list_belongs_raises_parse_error(self, edit):
         # read as a sequence, "pq" would be the fluents p and q
@@ -135,6 +142,34 @@ class TestJson:
         with pytest.raises(ParseError, match="is not letters"):
             jsonio.problem_from_dict(doc)
 
+    def test_effect_that_is_not_an_object_raises_parse_error(self):
+        doc = _two_fluent_doc()
+        doc["frame"]["actions"][0]["effects"].append("pq")
+        with pytest.raises(ParseError, match="'pq' is not a dict"):
+            jsonio.problem_from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [
+            (lambda d: d.pop("frame"), "frame"),
+            (lambda d: d["frame"].pop("fluents"), "fluents"),
+            (lambda d: d["frame"].pop("actions"), "actions"),
+            (lambda d: d["frame"]["actions"][0].pop("name"), "name"),
+            (lambda d: d["frame"]["actions"][0]["effects"][0].pop("then"), "then"),
+            (lambda d: d.pop("instances"), "instances"),
+            (lambda d: d["instances"][0].pop("name"), "name"),
+            (lambda d: d["instances"][0].pop("init"), "init"),
+            (lambda d: d["instances"][0].pop("goal"), "goal"),
+        ],
+        ids=["frame", "fluents", "actions", "action-name", "then", "instances",
+             "instance-name", "init", "goal"],
+    )
+    def test_missing_key_is_named(self, edit, key):
+        doc = _two_fluent_doc()
+        edit(doc)
+        with pytest.raises(ParseError, match=f"^malformed problem document: missing key '{key}'$"):
+            jsonio.problem_from_dict(doc)
+
     def test_missing_file_raises_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             jsonio.load_problem(tmp_path / "nope.json")
@@ -143,6 +178,80 @@ class TestJson:
         doc = jsonio.problem_to_dict(corridor_pair)
         neg_goal = doc["instances"][1]["goal"]
         assert "!painted_1" in neg_goal
+
+
+class TestLiteralTable:
+    """The loader against :func:`helpers.reference_problem`, which parses one
+    literal at a time."""
+
+    def test_random_documents_load_as_the_reference_parse(self):
+        rng = random.Random(24)
+        negatives = repeats = 0
+        for _ in range(300):
+            doc = random_problem_doc(rng)
+            assert jsonio.problem_from_dict(doc) == reference_problem(doc)
+            lists = [inst["goal"] for inst in doc["instances"]]
+            for act in doc["frame"]["actions"]:
+                lists.append(act.get("pre", []))
+                for eff in act["effects"]:
+                    lists += [eff.get("when", []), eff["then"]]
+            negatives += sum(text.startswith("!") for texts in lists for text in texts)
+            repeats += sum(len(set(texts)) < len(texts) for texts in lists)
+        assert negatives > 1000 and repeats > 100
+
+    @pytest.mark.parametrize("domain", DOMAIN_NAMES)
+    def test_every_domain_loads_as_the_reference_parse(self, domain):
+        sizes = [30, 5] if domain == "trisum" else [2, 3]
+        specs = [InstanceSpec(sizes[0]), InstanceSpec(sizes[1], Label.NEGATIVE)]
+        doc = jsonio.problem_to_dict(build_task(domain, specs))
+        assert jsonio.problem_from_dict(doc) == reference_problem(doc)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d["frame"]["actions"][0].update(pre=["!nope"]), "unknown fluent 'nope'"),
+            (lambda d: d["frame"]["actions"][0].update(pre=["nope"]), "unknown fluent 'nope'"),
+            (lambda d: d["instances"][0].update(goal=["!nope"]), "unknown fluent 'nope'"),
+            (lambda d: d["instances"][0].update(init=["!p"]), "unknown fluent '!p'"),
+            (lambda d: d["frame"]["actions"][0].update(pre=["p", "q", "!p"]),
+             "assigns both polarities"),
+            (lambda d: d["frame"]["actions"][0]["effects"][0].update(when=["!q", "q"]),
+             "assigns both polarities"),
+            (lambda d: d["frame"]["actions"][0]["effects"][0].update(then=["q", "!q"]),
+             "assigns both polarities"),
+            (lambda d: d["instances"][0].update(goal=["!q", "q"]), "assigns both polarities"),
+        ],
+        ids=["negated-unknown", "unknown", "negated-unknown-goal", "negated-init",
+             "clash-pre", "clash-when", "clash-then", "clash-goal"],
+    )
+    def test_literal_errors(self, edit, message):
+        doc = _two_fluent_doc()
+        edit(doc)
+        with pytest.raises(ParseError, match=message):
+            jsonio.problem_from_dict(doc)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("case", ["loads", "malformed-json", "malformed-document", "missing"])
+def test_load_restores_the_collector_state(case, enabled, corridor_pair, tmp_path):
+    path = tmp_path / "problem.json"
+    if case == "loads":
+        jsonio.dump_problem(corridor_pair, path)
+    elif case == "malformed-json":
+        path.write_text('{"frame": ')
+    elif case == "malformed-document":
+        path.write_text('{"frame": {}}')
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if case == "loads":
+            assert jsonio.load_problem(path) == corridor_pair
+        else:
+            with pytest.raises(ParseError):
+                jsonio.load_problem(path)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def reachable_space(problem):
